@@ -180,26 +180,65 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
+# The JSON kind of each certificate field: a type, or [kind] for a list.
+_FIELD_KINDS = {
+    **dict.fromkeys(("root", "step"), (dict, "an object")),
+    **dict.fromkeys(("n", "m", "stated_bound"), (int, "an integer")),
+    **dict.fromkeys(("hash", "op", "justification", "h", "expression"), (str, "a string")),
+    **dict.fromkeys(("vertices", "x", "y"), ([int], "a list of integers")),
+    "parts": ([[int]], "a list of integer lists"),
+    "children": ([dict], "a list of objects"),
+}
+
+
+def _is_kind(value: object, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_kind(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(obj: dict, key: str, optional: bool = False):
+    """``obj[key]`` checked against its kind; an optional field may be
+    absent or null."""
+    if obj.get(key) is None and optional:
+        return None
+    if key not in obj:
+        raise ValueError(f"certificate field {key!r} is missing")
+    kind, name = _FIELD_KINDS[key]
+    if not _is_kind(obj[key], kind):
+        raise ValueError(f"certificate field {key!r} must be {name}")
+    return obj[key]
+
+
 def _node_from_obj(obj: dict) -> Node:
     if "base" in obj:
-        return BaseLeaf(obj["base"], obj.get("h"), obj.get("expression"))
-    op = obj["op"]
-    children = [_node_from_obj(c) for c in obj["children"]]
-    if op == "delete_vertices":
-        return DeleteVerticesStep(
-            tuple(obj["vertices"]), obj["justification"], obj["stated_bound"], children[0]
+        return BaseLeaf(
+            obj["base"], _field(obj, "h", optional=True), _field(obj, "expression", optional=True)
         )
-    if op == "subgraph_complement":
-        return SubgraphComplementStep(tuple(obj["vertices"]), children[0])
-    if op == "bipartite_complement":
-        return BipartiteComplementStep(tuple(obj["x"]), tuple(obj["y"]), children[0])
-    if op == "prune_degree_one":
-        return PruneDegreeOneStep(children[0])
+    op = _field(obj, "op")
+    children = [_node_from_obj(c) for c in _field(obj, "children")]
     if op == "split_components":
         return SplitComponentsStep(
-            tuple(tuple(p) for p in obj["parts"]), tuple(children)
+            tuple(tuple(p) for p in _field(obj, "parts")), tuple(children)
         )
-    raise ValueError(f"unknown certificate op {op!r}")
+    if op not in ("delete_vertices", "subgraph_complement", "bipartite_complement", "prune_degree_one"):
+        raise ValueError(f"unknown certificate op {op!r}")
+    if not children:
+        raise ValueError(f"certificate {op} step has no child")
+    if op == "delete_vertices":
+        return DeleteVerticesStep(
+            tuple(_field(obj, "vertices")),
+            _field(obj, "justification"),
+            _field(obj, "stated_bound"),
+            children[0],
+        )
+    if op == "subgraph_complement":
+        return SubgraphComplementStep(tuple(_field(obj, "vertices")), children[0])
+    if op == "bipartite_complement":
+        return BipartiteComplementStep(
+            tuple(_field(obj, "x")), tuple(_field(obj, "y")), children[0]
+        )
+    return PruneDegreeOneStep(children[0])
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -212,11 +251,20 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    obj = json.loads(text)
-    if obj.get("version") != "v1":
-        raise ValueError(f"unsupported certificate version {obj.get('version')!r}")
-    root = Fingerprint(obj["root"]["n"], obj["root"]["m"], obj["root"]["hash"])
-    return Certificate(root, _node_from_obj(obj["step"]))
+    """Parse a ``"v1"`` certificate; malformed input raises ValueError."""
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("certificate must be a JSON object")
+        if obj.get("version") != "v1":
+            raise ValueError(f"unsupported certificate version {obj.get('version')!r}")
+        root = _field(obj, "root")
+        return Certificate(
+            Fingerprint(_field(root, "n"), _field(root, "m"), _field(root, "hash")),
+            _node_from_obj(_field(obj, "step")),
+        )
+    except RecursionError:
+        raise ValueError("certificate is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +455,52 @@ def _two_p2_p4_witness(
     return FreenessWitness("2P2+P4", emb)
 
 
-def _reduce_steps(
-    g: Graph, cover: list[frozenset[int]]
-) -> tuple[list, Node] | FreenessWitness:
-    """Reduction steps for a graph with a bounded clique cover.
+class _Steps:
+    """Reduction steps applied to a working graph, in order.
 
-    Returns (step factories, terminal node) or, when four big cliques keep a
-    cross edge, the induced 2P2+P4 that such an edge forces.
+    Each method applies one operation to ``work`` and records it; ``close``
+    folds the record into a certificate node that ends in ``terminal``.
     """
+
+    def __init__(self, g: Graph):
+        self.work = g
+        self._made: list[tuple] = []
+
+    def delete(self, vs, justification: str, bound: int) -> None:
+        vs = tuple(sorted(vs))
+        self.work = delete_vertices(self.work, vs)
+        self._made.append((DeleteVerticesStep, vs, justification, bound))
+
+    def complement(self, vs) -> None:
+        vs = tuple(sorted(vs))
+        self.work = subgraph_complement(self.work, vs)
+        self._made.append((SubgraphComplementStep, vs))
+
+    def bipartite_complement(self, xs, ys) -> None:
+        xs, ys = tuple(sorted(xs)), tuple(sorted(ys))
+        self.work = bipartite_complement(self.work, xs, ys)
+        self._made.append((BipartiteComplementStep, xs, ys))
+
+    def prune(self) -> None:
+        self.work = prune_degree_one(self.work)
+        self._made.append((PruneDegreeOneStep,))
+
+    def close(self, terminal: Node) -> Node:
+        node = terminal
+        for kind, *args in reversed(self._made):
+            node = kind(*args, node)
+        return node
+
+
+def _reduce_steps(
+    steps: _Steps, cover: list[frozenset[int]]
+) -> Node | FreenessWitness:
+    """Clique-cover reduction of ``steps.work``, recorded on ``steps``.
+
+    Returns the terminal node or, when four big cliques keep a cross edge,
+    the induced 2P2+P4 that such an edge forces.
+    """
+    g = steps.work
     covered = sorted(v for part in cover for v in part)
     if covered != list(g.vertices) or len(set(covered)) != len(covered):
         raise ValueError("cover must partition the vertex set")
@@ -424,8 +510,6 @@ def _reduce_steps(
                 if u < v and not g.has_edge(u, v):
                     raise ValueError(f"cover part {sorted(part)} is not a clique")
 
-    steps: list = []
-    work = g
     cliques = sorted((frozenset(p) for p in cover if p), key=min)
     k_start = len(cliques)
 
@@ -434,20 +518,14 @@ def _reduce_steps(
     while True:
         small = next((c for c in cliques if len(c) < k_start + 7), None)
         if small is not None:
-            svs = tuple(sorted(small))
-            steps.append(
-                lambda child, svs=svs, b=k_start + 6: DeleteVerticesStep(
-                    svs, "cover-clique-below-size-threshold", b, child
-                )
-            )
-            work = delete_vertices(work, small)
+            steps.delete(small, "cover-clique-below-size-threshold", k_start + 6)
             cliques = [c for c in cliques if c != small]
             continue
         fused = False
         for i in range(len(cliques)):
             for j in range(i + 1, len(cliques)):
                 ci, cj = cliques[i], cliques[j]
-                if all(work.has_edge(u, v) for u in ci for v in cj):
+                if all(steps.work.has_edge(u, v) for u in ci for v in cj):
                     cliques = [c for k, c in enumerate(cliques) if k not in (i, j)]
                     cliques.append(ci | cj)
                     cliques.sort(key=min)
@@ -459,6 +537,7 @@ def _reduce_steps(
             break
 
     k_final = len(cliques)
+    work = steps.work
 
     # Drop the at most one vertex per ordered clique pair that is completely
     # adjacent to the other clique.
@@ -474,23 +553,18 @@ def _reduce_steps(
                 )
             exceptional.update(full_adj)
     if exceptional:
-        evs = tuple(sorted(exceptional))
         bound = k_final * (k_final - 1)
-        if len(evs) > bound:
+        if len(exceptional) > bound:
             raise _contradiction("too many cross-complete vertices")
-        steps.append(
-            lambda child, evs=evs, b=bound: DeleteVerticesStep(
-                evs, "cross-complete-vertices", b, child
-            )
-        )
-        work = delete_vertices(work, evs)
+        steps.delete(exceptional, "cross-complete-vertices", bound)
+        work = steps.work
         cliques = [c - exceptional for c in cliques]
 
     if any(len(c) < 8 for c in cliques):
         raise _contradiction("a reduced cover clique fell below 8 vertices")
 
     if k_final == 0:
-        return steps, BaseLeaf(DISJOINT_CLIQUES)
+        return BaseLeaf(DISJOINT_CLIQUES)
 
     if k_final >= 4:
         cross = None
@@ -508,24 +582,31 @@ def _reduce_steps(
             if cross:
                 break
         if cross is None:
-            return steps, BaseLeaf(DISJOINT_CLIQUES)
+            return BaseLeaf(DISJOINT_CLIQUES)
         return _two_p2_p4_witness(work, cliques, cross[0], cross[1], cross[2], cross[3])
 
     # k' <= 3: complementing inside each clique leaves maximum degree <= 2.
     for c in cliques:
-        cvs = tuple(sorted(c))
-        steps.append(lambda child, cvs=cvs: SubgraphComplementStep(cvs, child))
-        work = subgraph_complement(work, cvs)
-    if work.max_degree() > 2:
+        steps.complement(c)
+    if steps.work.max_degree() > 2:
         raise _contradiction("complemented cover did not reach maximum degree 2")
-    return steps, BaseLeaf(MAX_DEGREE_2)
+    return BaseLeaf(MAX_DEGREE_2)
 
 
-def _chain(steps: list, terminal: Node) -> Node:
-    node = terminal
-    for factory in reversed(steps):
-        node = factory(node)
-    return node
+def _close_by_cover(steps: _Steps, cover: list[frozenset[int]]) -> Node:
+    """``steps`` closed by the clique-cover reduction of a class member, in
+    which a 2P2+P4 cannot occur."""
+    terminal = _reduce_steps(steps, cover)
+    if isinstance(terminal, FreenessWitness):
+        raise _contradiction("clique-cover reduction found a forbidden graph")
+    return steps.close(terminal)
+
+
+def _split(a: frozenset[int], a_node: Node, b: frozenset[int], b_node: Node) -> Node:
+    """Split into two parts with their nodes, listed by least vertex."""
+    if min(b) < min(a):
+        a, a_node, b, b_node = b, b_node, a, a_node
+    return SplitComponentsStep((tuple(sorted(a)), tuple(sorted(b))), (a_node, b_node))
 
 
 def reduce_by_clique_cover(
@@ -536,11 +617,11 @@ def reduce_by_clique_cover(
     free, witness = is_free(g, ["diamond"])
     if not free:
         raise NotInClassError(witness)
-    result = _reduce_steps(g, [frozenset(p) for p in cover])
-    if isinstance(result, FreenessWitness):
-        return result
-    steps, terminal = result
-    return Certificate(certificate_root(g), _chain(steps, terminal))
+    steps = _Steps(g)
+    terminal = _reduce_steps(steps, [frozenset(p) for p in cover])
+    if isinstance(terminal, FreenessWitness):
+        return terminal
+    return Certificate(certificate_root(g), steps.close(terminal))
 
 
 # ---------------------------------------------------------------------------
@@ -694,30 +775,26 @@ def certify_diamond_3p1p2(g: Graph, desk_limit: int = DESK_LIMIT) -> Certificate
 
     # Independence is bounded: alpha <= 9 because the graph is 10P1-free.
     cyc = find_induced_cycle(g, 5) or find_induced_cycle(g, 7)
-    steps: list = []
-    work = g
+    steps = _Steps(g)
     if cyc is not None:
         k = len(cyc)
         _, non_consecutive = _cycle_pairs(cyc)
         on_cycle = set(cyc)
         doomed: set[int] = set()
         for a, b in non_consecutive:
-            common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
-            _assert_independent(work, common, "a non-consecutive common neighbourhood")
+            common = (g.neighbors(a) & g.neighbors(b)) - on_cycle
+            _assert_independent(g, common, "a non-consecutive common neighbourhood")
             if len(common) > 9:
                 raise _contradiction("common neighbourhood beats the independence bound")
             doomed |= common
-        bound = 45 if k == 5 else 126
         if doomed:
-            dvs = tuple(sorted(doomed))
-            steps.append(
-                lambda child, dvs=dvs, b=bound: DeleteVerticesStep(
-                    dvs, "common-neighbours-of-nonconsecutive-cycle-pair", b, child
-                )
+            steps.delete(
+                doomed,
+                "common-neighbours-of-nonconsecutive-cycle-pair",
+                45 if k == 5 else 126,
             )
-            work = delete_vertices(work, dvs)
         # Survivors see at most two, necessarily consecutive, cycle vertices.
-        nbr_sets = _cycle_neighbour_sets(work, cyc)
+        nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
         consecutive, _ = _cycle_pairs(cyc)
         cover_sets: list[set[int]] = []
         for a, b in consecutive:
@@ -729,39 +806,29 @@ def certify_diamond_3p1p2(g: Graph, desk_limit: int = DESK_LIMIT) -> Certificate
         if classified != set(nbr_sets):
             raise _contradiction("a vertex sees non-consecutive cycle vertices")
         for part in cover_sets:
-            _assert_clique(work, part, "a cycle-neighbourhood class")
-        cvs = tuple(sorted(on_cycle))
-        steps.append(
-            lambda child, cvs=cvs, b=k: DeleteVerticesStep(
-                cvs, "cycle-vertices", b, child
-            )
-        )
-        work = delete_vertices(work, cvs)
+            _assert_clique(steps.work, part, "a cycle-neighbourhood class")
+        steps.delete(on_cycle, "cycle-vertices", k)
         cover = [frozenset(p) for p in cover_sets if p]
         if len(cover) > 2 * k + 1:
             raise _contradiction("clique cover exceeds the stated size")
     else:
         # No induced C5 or C7 anywhere: the graph is perfect at desk scale,
         # so a minimum clique cover has alpha-many parts.
-        if work.n > desk_limit:
+        if g.n > desk_limit:
             raise SizeLimitError(
-                f"perfectness assertion needs n <= {desk_limit}, got {work.n}"
+                f"perfectness assertion needs n <= {desk_limit}, got {g.n}"
             )
-        perfect, pw = is_perfect_desk(work, limit=desk_limit)
+        perfect, pw = is_perfect_desk(g, limit=desk_limit)
         if not perfect:
             raise _contradiction(f"expected a perfect graph, found {pw}")
-        a = alpha(work)
+        a = alpha(g)
         if a > 9:
             raise _contradiction("independence bound exceeded after branching")
-        cover = clique_cover_exact(work)
+        cover = clique_cover_exact(g)
         if len(cover) != a:
             raise _contradiction("minimum clique cover disagrees with alpha")
 
-    result = _reduce_steps(work, [frozenset(p) for p in cover])
-    if isinstance(result, FreenessWitness):
-        raise _contradiction("clique-cover reduction found a forbidden graph")
-    sub_steps, terminal = result
-    return Certificate(certificate_root(g), _chain(steps + sub_steps, terminal))
+    return Certificate(certificate_root(g), _close_by_cover(steps, cover))
 
 
 # ---------------------------------------------------------------------------
@@ -826,51 +893,27 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     if len(separators) > 48:
         raise _contradiction("separator union exceeds the stated bound")
 
-    steps: list = []
-    work = g
+    steps = _Steps(g)
     if separators:
-        svs = tuple(sorted(separators))
-        steps.append(
-            lambda child, svs=svs: DeleteVerticesStep(
-                svs, "clique-independent-separators", 48, child
-            )
-        )
-        work = delete_vertices(work, svs)
-    cvs = tuple(sorted(cyc))
-    steps.append(
-        lambda child, cvs=cvs: DeleteVerticesStep(cvs, "cycle-vertices", 4, child)
-    )
-    work = delete_vertices(work, cvs)
+        steps.delete(separators, "clique-independent-separators", 48)
+    steps.delete(cyc, "cycle-vertices", 4)
+    work = steps.work
 
     bip_part = frozenset((v_opp[1] | v_opp[2]) - separators)
     clique_part = frozenset(work.vertices) - bip_part
     cover = [frozenset(p - separators) for p in cliques if p - separators]
 
-    def reduce_terminal(sub: Graph) -> Node:
-        result = _reduce_steps(sub, cover)
-        if isinstance(result, FreenessWitness):
-            raise _contradiction("clique-cover reduction found a forbidden graph")
-        sub_steps, terminal = result
-        return _chain(sub_steps, terminal)
-
     if bip_part and clique_part:
         for u, v in work.edges():
             if (u in bip_part) != (v in bip_part):
                 raise _contradiction("separators missed a clique-independent edge")
-        parts = sorted((clique_part, bip_part), key=min)
-        children = tuple(
-            reduce_terminal(induced_subgraph(work, part))
-            if part == clique_part
-            else BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3")
-            for part in parts
+        clique_node = _close_by_cover(_Steps(induced_subgraph(work, clique_part)), cover)
+        return steps.close(
+            _split(clique_part, clique_node, bip_part, BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
         )
-        split = SplitComponentsStep(
-            tuple(tuple(sorted(p)) for p in parts), children
-        )
-        return _chain(steps, split)
     if bip_part:
-        return _chain(steps, BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
-    return _chain(steps, reduce_terminal(work))
+        return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
+    return _close_by_cover(steps, cover)
 
 
 def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
@@ -885,19 +928,13 @@ def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
                 "two vertices share a non-consecutive cycle pair"
             )
         doomed |= common
-    steps: list = []
-    work = g
+    steps = _Steps(g)
     if doomed:
-        dvs = tuple(sorted(doomed))
-        bound = k * (k - 3) // 2
-        steps.append(
-            lambda child, dvs=dvs, b=bound: DeleteVerticesStep(
-                dvs, "common-neighbours-of-nonconsecutive-cycle-pair", b, child
-            )
+        steps.delete(
+            doomed, "common-neighbours-of-nonconsecutive-cycle-pair", k * (k - 3) // 2
         )
-        work = delete_vertices(work, dvs)
 
-    nbr_sets = _cycle_neighbour_sets(work, cyc)
+    nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
     consecutive, _ = _cycle_pairs(cyc)
     cover_sets: list[set[int]] = []
     for a, b in consecutive:
@@ -913,20 +950,12 @@ def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
     if classified != set(nbr_sets):
         raise _contradiction("a vertex sees a non-consecutive cycle pair after deletion")
     for part in cover_sets:
-        _assert_clique(work, part, "a long-cycle neighbourhood class")
+        _assert_clique(steps.work, part, "a long-cycle neighbourhood class")
     if sum(1 for p in cover_sets if p) > 2 * k:
         raise _contradiction("clique cover exceeds 2k parts")
 
-    cvs = tuple(sorted(on_cycle))
-    steps.append(
-        lambda child, cvs=cvs, b=k: DeleteVerticesStep(cvs, "cycle-vertices", b, child)
-    )
-    work = delete_vertices(work, cvs)
-    result = _reduce_steps(work, [frozenset(p) for p in cover_sets if p])
-    if isinstance(result, FreenessWitness):
-        raise _contradiction("clique-cover reduction found a forbidden graph")
-    sub_steps, terminal = result
-    return _chain(steps + sub_steps, terminal)
+    steps.delete(on_cycle, "cycle-vertices", k)
+    return _close_by_cover(steps, [frozenset(p) for p in cover_sets if p])
 
 
 # ---------------------------------------------------------------------------
@@ -956,8 +985,9 @@ def certify_diamond_p2p3(g: Graph) -> Certificate:
 
 
 def _certify_p2p3_with_k5(g: Graph) -> Node:
-    steps: list = [lambda child: PruneDegreeOneStep(child)]
-    work = prune_degree_one(g)
+    steps = _Steps(g)
+    steps.prune()
+    work = steps.work
     k5 = contains_induced(work, realize(parse_spec("K5")))
     if k5 is None:
         raise _contradiction("pruning destroyed every K5")
@@ -978,55 +1008,39 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
                     raise _contradiction("the graph minus the clique holds a P3")
     comps = components(rest)
     if len(comps) == 0:
-        return _chain(steps, BaseLeaf(DISJOINT_CLIQUES))
+        return steps.close(BaseLeaf(DISJOINT_CLIQUES))
     if len(comps) == 1:
-        all_vs = tuple(sorted(work.vertices))
-        steps.append(lambda child, vs=all_vs: SubgraphComplementStep(vs, child))
-        return _chain(steps, BaseLeaf(BIPARTITE_H_FREE, h="2P1+P2"))
-    attached = sorted(
-        x for x in x_clique if any(v in outside for v in work.neighbors(x))
-    )
+        steps.complement(work.vertices)
+        return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P2"))
+    attached = [x for x in x_clique if any(v in outside for v in work.neighbors(x))]
     if len(attached) > 2:
         raise _contradiction("three clique vertices keep outside neighbours")
     if attached:
-        avs = tuple(attached)
-        steps.append(
-            lambda child, avs=avs: DeleteVerticesStep(
-                avs, "clique-vertices-with-outside-neighbours", 2, child
-            )
-        )
-    return _chain(steps, BaseLeaf(DISJOINT_CLIQUES))
+        steps.delete(attached, "clique-vertices-with-outside-neighbours", 2)
+    return steps.close(BaseLeaf(DISJOINT_CLIQUES))
 
 
-def _delete_consecutive_common_neighbours(
-    work: Graph, cyc: tuple[int, ...], steps: list
-) -> Graph:
+def _delete_consecutive_common_neighbours(steps: _Steps, cyc: tuple[int, ...]) -> None:
     """Per consecutive cycle pair, delete their common neighbourhood (a
     clique of at most four vertices when K5-free)."""
     consecutive, _ = _cycle_pairs(cyc)
     on_cycle = set(cyc)
     for a, b in consecutive:
+        work = steps.work
         common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
         if not common:
             continue
         _assert_clique(work, common, "a consecutive-pair common neighbourhood")
         if len(common) > 4:
             raise _contradiction("consecutive-pair neighbourhood beats the K5 bound")
-        cvs = tuple(sorted(common))
-        steps.append(
-            lambda child, cvs=cvs: DeleteVerticesStep(
-                cvs, "consecutive-pair-common-neighbours", 4, child
-            )
-        )
-        work = delete_vertices(work, cvs)
-    return work
+        steps.delete(common, "consecutive-pair-common-neighbours", 4)
 
 
 def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
-    steps: list = []
-    work = _delete_consecutive_common_neighbours(g, cyc, steps)
+    steps = _Steps(g)
+    _delete_consecutive_common_neighbours(steps, cyc)
 
-    nbr_sets = _cycle_neighbour_sets(work, cyc)
+    nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
     if any(len(ns) >= 3 for ns in nbr_sets.values()):
         raise _contradiction("a vertex still sees three cycle vertices")
     singles = {v for v, ns in nbr_sets.items() if len(ns) == 1}
@@ -1034,14 +1048,9 @@ def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
         if sum(1 for v in singles if nbr_sets[v] == {a}) > 1:
             raise _contradiction("two vertices hang off one cycle vertex")
     if singles:
-        svs = tuple(sorted(singles))
-        steps.append(
-            lambda child, svs=svs: DeleteVerticesStep(
-                svs, "single-cycle-neighbour-vertices", 5, child
-            )
-        )
-        work = delete_vertices(work, svs)
+        steps.delete(singles, "single-cycle-neighbour-vertices", 5)
 
+    work = steps.work
     nbr_sets = _cycle_neighbour_sets(work, cyc)
     k = len(cyc)
     v_sets = []
@@ -1057,54 +1066,35 @@ def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
 
     small_parts = [p for p in [x_set, *v_sets] if p and len(p) < 3]
     for part in sorted(small_parts, key=min):
-        pvs = tuple(sorted(part))
-        steps.append(
-            lambda child, pvs=pvs: DeleteVerticesStep(pvs, "small-class", 2, child)
-        )
-        work = delete_vertices(work, pvs)
-    cvs = tuple(sorted(cyc))
-    steps.append(
-        lambda child, cvs=cvs: DeleteVerticesStep(cvs, "cycle-vertices", 5, child)
-    )
-    work = delete_vertices(work, cvs)
+        steps.delete(part, "small-class", 2)
+    steps.delete(cyc, "cycle-vertices", 5)
 
-    survivors = [frozenset(p) for p in v_sets]
+    survivors = [frozenset(v for v in p if steps.work.has_vertex(v)) for p in v_sets]
     for i in range(k):
         a, b = survivors[i], survivors[(i + 1) % k]
-        a = frozenset(v for v in a if work.has_vertex(v))
-        b = frozenset(v for v in b if work.has_vertex(v))
         if a and b:
-            xs, ys = tuple(sorted(a)), tuple(sorted(b))
-            steps.append(
-                lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child)
-            )
-            work = bipartite_complement(work, xs, ys)
-    if work.max_degree() > 2:
+            steps.bipartite_complement(a, b)
+    if steps.work.max_degree() > 2:
         raise _contradiction("complemented C5 decomposition kept degree above 2")
-    return _chain(steps, BaseLeaf(MAX_DEGREE_2))
+    return steps.close(BaseLeaf(MAX_DEGREE_2))
 
 
 def _certify_p2p3_with_c6(g: Graph, cyc: tuple[int, ...]) -> Node:
-    steps: list = []
-    work = _delete_consecutive_common_neighbours(g, cyc, steps)
+    steps = _Steps(g)
+    _delete_consecutive_common_neighbours(steps, cyc)
 
     _, non_consecutive = _cycle_pairs(cyc)
     on_cycle = set(cyc)
     doomed: set[int] = set()
     for a, b in non_consecutive:
-        common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
+        common = (steps.work.neighbors(a) & steps.work.neighbors(b)) - on_cycle
         if len(common) > 1:
             raise _contradiction("two vertices share a non-consecutive C6 pair")
         doomed |= common
     if doomed:
-        dvs = tuple(sorted(doomed))
-        steps.append(
-            lambda child, dvs=dvs: DeleteVerticesStep(
-                dvs, "common-neighbours-of-nonconsecutive-cycle-pair", 9, child
-            )
-        )
-        work = delete_vertices(work, dvs)
+        steps.delete(doomed, "common-neighbours-of-nonconsecutive-cycle-pair", 9)
 
+    work = steps.work
     nbr_sets = _cycle_neighbour_sets(work, cyc)
     if any(ns for ns in nbr_sets.values()):
         raise _contradiction("an off-cycle vertex still touches the C6")
@@ -1115,12 +1105,12 @@ def _certify_p2p3_with_c6(g: Graph, cyc: tuple[int, ...]) -> Node:
                 raise _contradiction("two off-cycle vertices are adjacent")
     if work.max_degree() > 2:
         raise _contradiction("C6 remainder kept degree above 2")
-    return _chain(steps, BaseLeaf(MAX_DEGREE_2))
+    return steps.close(BaseLeaf(MAX_DEGREE_2))
 
 
 def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
-    steps: list = []
-    work = _delete_consecutive_common_neighbours(g, cyc, steps)
+    steps = _Steps(g)
+    _delete_consecutive_common_neighbours(steps, cyc)
 
     def classify(cur: Graph, order: tuple[int, ...]):
         nbr_sets = _cycle_neighbour_sets(cur, order)
@@ -1139,7 +1129,7 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
         return w_sets, v_sets, x_set
 
     order = cyc
-    w_sets, v_sets, x_set = classify(work, order)
+    w_sets, v_sets, x_set = classify(steps.work, order)
 
     # Opposite pendant classes cannot both be populated; when they are, each
     # holds a single vertex and both go.
@@ -1147,19 +1137,14 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
         if w_sets[a] and w_sets[b]:
             if len(w_sets[a]) > 1 or len(w_sets[b]) > 1:
                 raise _contradiction("opposite pendant classes are too big to clear")
-            both = tuple(sorted(w_sets[a] | w_sets[b]))
-            steps.append(
-                lambda child, both=both: DeleteVerticesStep(
-                    both, "opposite-pendant-pair", 2, child
-                )
-            )
-            work = delete_vertices(work, both)
+            steps.delete(w_sets[a] | w_sets[b], "opposite-pendant-pair", 2)
     # Rotate the cycle labelling so pendant classes sit at positions 1, 2.
     v1, v2, v3, v4 = cyc
     candidates = [
         (v1, v2, v3, v4), (v2, v3, v4, v1), (v3, v4, v1, v2), (v4, v1, v2, v3),
         (v1, v4, v3, v2), (v4, v3, v2, v1), (v3, v2, v1, v4), (v2, v1, v4, v3),
     ]
+    work = steps.work
     for cand in candidates:
         w_sets, v_sets, x_set = classify(work, cand)
         if not w_sets[3] and not w_sets[4]:
@@ -1180,51 +1165,34 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
 
     # Pendants of one side adjacent to pendants of the other side split off
     # as a bipartite piece after two complementations.
-    w1_star = {v for v in w_sets[1] if work.neighbors(v) & w_sets[2]}
-    w2_star = {v for v in w_sets[2] if work.neighbors(v) & w_sets[1]}
-    if w1_star or w2_star:
-        for v in sorted(w1_star):
-            if not (v_sets[1] <= work.neighbors(v)):
+    star = {s: {v for v in w_sets[s] if work.neighbors(v) & w_sets[3 - s]} for s in (1, 2)}
+    if not (star[1] or star[2]):
+        return steps.close(_certify_p2p3_c4_core(work, order))
+    for side in (1, 2):
+        for v in sorted(star[side]):
+            if not (v_sets[side] <= work.neighbors(v)):
                 raise _contradiction("a crossing pendant misses part of its far pair class")
-            if work.neighbors(v) & (v_sets[2] | x_set):
+            if work.neighbors(v) & (v_sets[3 - side] | x_set):
                 raise _contradiction("a crossing pendant touches the wrong side")
-        for v in sorted(w2_star):
-            if not (v_sets[2] <= work.neighbors(v)):
-                raise _contradiction("a crossing pendant misses part of its far pair class")
-            if work.neighbors(v) & (v_sets[1] | x_set):
-                raise _contradiction("a crossing pendant touches the wrong side")
-        if w1_star:
-            xs = tuple(sorted(w1_star))
-            ys = tuple(sorted(v_sets[1] | {order[0]}))
-            steps.append(lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child))
-            work = bipartite_complement(work, xs, ys)
-        if w2_star:
-            xs = tuple(sorted(w2_star))
-            ys = tuple(sorted(v_sets[2] | {order[1]}))
-            steps.append(lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child))
-            work = bipartite_complement(work, xs, ys)
-        star_part = frozenset(w1_star | w2_star)
-        rest_part = frozenset(work.vertices) - star_part
-        for u, v in work.edges():
-            if (u in star_part) != (v in star_part):
-                raise _contradiction("crossing pendants stayed attached after complementation")
-        parts = sorted((rest_part, star_part), key=min)
-        sub_work = induced_subgraph(work, rest_part)
-        children = tuple(
-            _certify_p2p3_c4_core(sub_work, order)
-            if part == rest_part
-            else BaseLeaf(BIPARTITE_H_FREE, h="P2+P3")
-            for part in parts
-        )
-        split = SplitComponentsStep(tuple(tuple(sorted(p)) for p in parts), children)
-        return _chain(steps, split)
-    return _chain(steps, _certify_p2p3_c4_core(work, order))
+    for side in (1, 2):
+        if star[side]:
+            steps.bipartite_complement(star[side], v_sets[side] | {order[side - 1]})
+    work = steps.work
+    star_part = frozenset(star[1] | star[2])
+    rest_part = frozenset(work.vertices) - star_part
+    for u, v in work.edges():
+        if (u in star_part) != (v in star_part):
+            raise _contradiction("crossing pendants stayed attached after complementation")
+    rest_node = _certify_p2p3_c4_core(induced_subgraph(work, rest_part), order)
+    return steps.close(
+        _split(rest_part, rest_node, star_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
+    )
 
 
 def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     """The C4 decomposition after pendant classes 3, 4 and the crossing
     pendants have been cleared."""
-    steps: list = []
+    steps = _Steps(work)
     a1, a2, a3, a4 = order
     nbr_sets = _cycle_neighbour_sets(work, order)
     w_sets = {i: {v for v, ns in nbr_sets.items() if ns == {order[i - 1]}} for i in (1, 2)}
@@ -1242,14 +1210,8 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             if work.neighbors(x):
                 raise _contradiction("a supposedly isolated vertex keeps neighbours")
         main_part = frozenset(work.vertices) - isolated
-        parts = sorted((main_part, frozenset(isolated)), key=min)
-        children = tuple(
-            _certify_p2p3_c4_core(induced_subgraph(work, main_part), order)
-            if part == main_part
-            else BaseLeaf(DISJOINT_CLIQUES)
-            for part in parts
-        )
-        return SplitComponentsStep(tuple(tuple(sorted(p)) for p in parts), children)
+        main_node = _certify_p2p3_c4_core(induced_subgraph(work, main_part), order)
+        return _split(main_part, main_node, frozenset(isolated), BaseLeaf(DISJOINT_CLIQUES))
 
     x0 = {
         x
@@ -1259,26 +1221,17 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     x1 = {x for x in x_set if work.neighbors(x) & v_sets[1] and x not in x0}
     x2 = {x for x in x_set if work.neighbors(x) & v_sets[2] and x not in x0}
 
-    def bipartite_exit() -> Node:
-        cvs = tuple(sorted(order))
-        exit_steps = [
-            lambda child, cvs=cvs: DeleteVerticesStep(cvs, "cycle-vertices", 4, child)
-        ]
-        remainder = delete_vertices(work, cvs)
-        ok, _ = is_bipartite(remainder)
+    if not x0:
+        steps.delete(order, "cycle-vertices", 4)
+        ok, _ = is_bipartite(steps.work)
         if not ok:
             raise _contradiction("expected a bipartite remainder around the C4")
-        return _chain(exit_steps, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
+        return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
 
-    if not x0:
-        return _chain(steps, bipartite_exit())
-
-    for y in sorted(v_sets[1]):
-        if work.neighbors(y) & x_set and not (v_sets[2] <= work.neighbors(y)):
-            raise _contradiction("a pair vertex with an outside neighbour misses its twin class")
-    for y in sorted(v_sets[2]):
-        if work.neighbors(y) & x_set and not (v_sets[1] <= work.neighbors(y)):
-            raise _contradiction("a pair vertex with an outside neighbour misses its twin class")
+    for side in (1, 2):
+        for y in sorted(v_sets[side]):
+            if work.neighbors(y) & x_set and not (v_sets[3 - side] <= work.neighbors(y)):
+                raise _contradiction("a pair vertex with an outside neighbour misses its twin class")
     for x in sorted(x0):
         if len(work.neighbors(x) & v_sets[1]) != 1 or len(work.neighbors(x) & v_sets[2]) != 1:
             raise _contradiction("a doubly attached vertex lacks unique attachments")
@@ -1298,27 +1251,16 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             for x in x0:
                 if not work.has_edge(hub, x):
                     raise _contradiction("a doubly attached vertex avoids the shared hub")
-            steps.append(
-                lambda child, hub=hub: DeleteVerticesStep(
-                    (hub,), "shared-attachment-hub", 1, child
-                )
-            )
-            inner = delete_vertices(work, (hub,))
-            return _chain(steps, _certify_p2p3_c4_core(inner, order))
+            steps.delete((hub,), "shared-attachment-hub", 1)
+            return steps.close(_certify_p2p3_c4_core(steps.work, order))
 
-    cross_w2 = sorted(v for v in w_sets[2] if work.neighbors(v) & v_sets[1])
-    cross_w1 = sorted(v for v in w_sets[1] if work.neighbors(v) & v_sets[2])
+    cross_w2 = [v for v in w_sets[2] if work.neighbors(v) & v_sets[1]]
+    cross_w1 = [v for v in w_sets[1] if work.neighbors(v) & v_sets[2]]
     if len(cross_w2) > 1 or len(cross_w1) > 1:
         raise _contradiction("two pendants reach across the C4 decomposition")
     if cross_w1 or cross_w2:
-        both = tuple(sorted(cross_w1 + cross_w2))
-        steps.append(
-            lambda child, both=both: DeleteVerticesStep(
-                both, "cross-attached-pendants", 2, child
-            )
-        )
-        inner = delete_vertices(work, both)
-        return _chain(steps, _certify_p2p3_c4_core(inner, order))
+        steps.delete(cross_w1 + cross_w2, "cross-attached-pendants", 2)
+        return steps.close(_certify_p2p3_c4_core(steps.work, order))
 
     v1p = {y for y in v_sets[1] if work.neighbors(y) & x0}
     v2p = {y for y in v_sets[2] if work.neighbors(y) & x0}
@@ -1343,22 +1285,15 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
                     "an attached vertex is neither single-attached nor complete"
                 )
 
-    cvs = tuple(sorted(order))
-    steps.append(
-        lambda child, cvs=cvs: DeleteVerticesStep(cvs, "cycle-vertices", 4, child)
-    )
-    work = delete_vertices(work, cvs)
+    steps.delete(order, "cycle-vertices", 4)
     for side, vp in ((1, v1p), (2, v2p)):
         if vp and comp[side]:
-            xs, ys = tuple(sorted(vp)), tuple(sorted(comp[side]))
-            steps.append(lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child))
-            work = bipartite_complement(work, xs, ys)
+            steps.bipartite_complement(vp, comp[side])
     for vp, other_v, other_vp in ((v1p, v_sets[2], v2p), (v2p, v_sets[1], v1p)):
         far = other_v - other_vp
         if vp and far:
-            xs, ys = tuple(sorted(vp)), tuple(sorted(far))
-            steps.append(lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child))
-            work = bipartite_complement(work, xs, ys)
+            steps.bipartite_complement(vp, far)
+    work = steps.work
 
     tree_part = frozenset(pend[1] | pend[2] | v1p | v2p | x0)
     rest_part = frozenset(work.vertices) - tree_part
@@ -1367,28 +1302,19 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             raise _contradiction("the tree part stayed attached to the remainder")
 
     def tree_terminal(sub: Graph) -> Node:
-        inner_steps: list = []
+        inner = _Steps(sub)
         if v1p and v2p:
-            xs, ys = tuple(sorted(v1p)), tuple(sorted(v2p))
-            inner_steps.append(
-                lambda child, xs=xs, ys=ys: BipartiteComplementStep(xs, ys, child)
-            )
-            sub = bipartite_complement(sub, xs, ys)
-        if not is_forest(sub):
+            inner.bipartite_complement(v1p, v2p)
+        if not is_forest(inner.work):
             raise _contradiction("the attachment part is not a forest")
-        return _chain(inner_steps, BaseLeaf(FOREST))
+        return inner.close(BaseLeaf(FOREST))
 
     if rest_part:
-        parts = sorted((tree_part, rest_part), key=min)
-        children = tuple(
-            tree_terminal(induced_subgraph(work, part))
-            if part == tree_part
-            else BaseLeaf(BIPARTITE_H_FREE, h="P2+P3")
-            for part in parts
+        tree_node = tree_terminal(induced_subgraph(work, tree_part))
+        return steps.close(
+            _split(tree_part, tree_node, rest_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
         )
-        split = SplitComponentsStep(tuple(tuple(sorted(p)) for p in parts), children)
-        return _chain(steps, split)
-    return _chain(steps, tree_terminal(work))
+    return steps.close(tree_terminal(work))
 
 
 # ---------------------------------------------------------------------------

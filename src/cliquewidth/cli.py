@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import certify as cert
 from .constructions import (
@@ -31,17 +30,6 @@ from .recognition import SizeLimitError
 from .search import is_free
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "edgelist"
-    specs: tuple[str, ...] = ()
-    kmax: int = KMAX_LIMIT
-    seed: int = 0
-    out: str | None = None
-    unsafe_size: bool = False
-
-
 class CliError(Exception):
     pass
 
@@ -58,20 +46,19 @@ def _read_graph(path: str, fmt: str) -> Graph:
         raise CliError(f"cannot parse {path}: {exc}") from exc
 
 
-def _write_out(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _write_out(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _cmd_check_free(args: argparse.Namespace) -> int:
-    cfg = RunConfig("check-free", fmt=args.format, specs=tuple(args.spec))
-    g = _read_graph(args.graph, cfg.fmt)
-    if not cfg.specs:
+    g = _read_graph(args.graph, args.format)
+    if not args.spec:
         raise CliError("at least one --spec is required")
-    free, witness = is_free(g, list(cfg.specs))
+    free, witness = is_free(g, args.spec)
     if free:
         print("free")
         return 0
@@ -80,26 +67,19 @@ def _cmd_check_free(args: argparse.Namespace) -> int:
 
 
 def _cmd_clique_width(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "clique-width",
-        fmt=args.format,
-        kmax=args.kmax,
-        out=args.out,
-        unsafe_size=args.unsafe_size,
-    )
-    g = _read_graph(args.graph, cfg.fmt)
-    limit = g.n if cfg.unsafe_size else SOLVER_LIMIT
+    g = _read_graph(args.graph, args.format)
+    limit = g.n if args.unsafe_size else SOLVER_LIMIT
     try:
-        result = clique_width_exact(g, cfg.kmax, size_limit=limit)
+        result = clique_width_exact(g, args.kmax, size_limit=limit)
     except SizeLimitError as exc:
         raise CliError(str(exc)) from exc
     if result is None:
-        print(f"clique-width exceeds {cfg.kmax}")
+        print(f"clique-width exceeds {args.kmax}")
         return 1
     k, expr = result
     print(f"clique-width {k}")
     if expr is not None:
-        _write_out(cfg, print_expression(expr) + "\n")
+        _write_out(args.out, print_expression(expr) + "\n")
     return 0
 
 
@@ -111,8 +91,7 @@ _CERTIFIERS = {
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cfg = RunConfig("certify", fmt=args.format, out=args.out)
-    g = _read_graph(args.graph, cfg.fmt)
+    g = _read_graph(args.graph, args.format)
     certifier = _CERTIFIERS[args.forbidden]
     try:
         certificate = certifier(g)
@@ -129,19 +108,18 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         for failure in verdict.failures:
             print(f"self-verification failed: {failure}", file=sys.stderr)
         return 2
-    _write_out(cfg, cert.certificate_to_json(certificate))
-    if cfg.out:
-        print(f"certificate written to {cfg.out} (self-verified)")
+    _write_out(args.out, cert.certificate_to_json(certificate))
+    if args.out:
+        print(f"certificate written to {args.out} (self-verified)")
     return 0
 
 
 def _cmd_verify_certificate(args: argparse.Namespace) -> int:
-    cfg = RunConfig("verify-certificate", fmt=args.format)
-    g = _read_graph(args.graph, cfg.fmt)
+    g = _read_graph(args.graph, args.format)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             certificate = cert.certificate_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load certificate: {exc}") from exc
     verdict = cert.verify_certificate(g, certificate)
     if verdict.ok:
@@ -153,42 +131,38 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = RunConfig("construct", fmt=args.format, out=args.out)
     kind = args.kind
-    if kind == "wall":
+    if kind in ("wall", "complemented-wall"):
         try:
             height = int(args.param)
         except ValueError:
-            raise CliError("wall expects an integer height") from None
+            raise CliError(f"{kind} expects an integer height") from None
+    if kind == "wall":
         try:
             g = wall(height)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        text = to_edge_list_text(g) if cfg.fmt == "edgelist" else to_graph6(g) + "\n"
-        _write_out(cfg, text)
+        text = to_edge_list_text(g) if args.format == "edgelist" else to_graph6(g) + "\n"
+        _write_out(args.out, text)
         print(f"wall height {height}: {g.n} vertices, {g.m} edges")
         return 0
     if kind == "complemented-wall":
-        try:
-            height = int(args.param)
-        except ValueError:
-            raise CliError("complemented-wall expects an integer height") from None
         try:
             pg = complemented_wall(height)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         report = verify_complemented_wall(pg)
-        _write_out(cfg, to_partitioned_text(pg))
+        _write_out(args.out, to_partitioned_text(pg))
         print(
             f"complemented wall height {height}: {pg.graph.n} vertices, "
             f"{pg.graph.m} edges, structure {'ok' if report.ok else 'BROKEN'}"
         )
         return 0 if report.ok else 2
     # gi-reduce
-    g = _read_graph(args.param, cfg.fmt)
+    g = _read_graph(args.param, args.format)
     pg = gi_reduce(g)
     report = verify_gi_profile(pg)
-    _write_out(cfg, to_partitioned_text(pg))
+    _write_out(args.out, to_partitioned_text(pg))
     print(
         f"reduction output: {pg.graph.n} vertices, {pg.graph.m} edges, "
         f"profile {'ok' if report.ok else 'BROKEN'}"
@@ -209,54 +183,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-        p.add_argument("--seed", type=int, default=0, help="reproducibility seed")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--unsafe-size",
-            action="store_true",
-            help="lift the built-in size limits",
-        )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("check-free", help="test forbidden induced subgraphs")
+    p = sub.add_parser("check-free", parents=[fmt], help="test forbidden induced subgraphs")
     p.add_argument("graph")
     p.add_argument("--spec", action="append", default=[], help="forbidden graph name")
-    common(p)
     p.set_defaults(func=_cmd_check_free)
 
-    p = sub.add_parser("clique-width", help="exact clique-width with a witness")
+    p = sub.add_parser(
+        "clique-width", parents=[fmt, out], help="exact clique-width with a witness"
+    )
     p.add_argument("graph")
     p.add_argument("--kmax", type=int, default=KMAX_LIMIT)
-    common(p)
+    p.add_argument(
+        "--unsafe-size", action="store_true", help="lift the solver's size limit"
+    )
     p.set_defaults(func=_cmd_clique_width)
 
-    p = sub.add_parser("certify", help="boundedness certificate for a class member")
+    p = sub.add_parser(
+        "certify", parents=[fmt, out], help="boundedness certificate for a class member"
+    )
     p.add_argument("graph")
     p.add_argument(
         "forbidden",
         choices=sorted(_CERTIFIERS),
         help="second forbidden graph of the diamond-free class",
     )
-    common(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("verify-certificate", help="replay and check a certificate")
+    p = sub.add_parser(
+        "verify-certificate", parents=[fmt], help="replay and check a certificate"
+    )
     p.add_argument("graph")
     p.add_argument("certificate")
-    common(p)
     p.set_defaults(func=_cmd_verify_certificate)
 
-    p = sub.add_parser("construct", help="wall, complemented-wall, or gi-reduce")
+    p = sub.add_parser(
+        "construct", parents=[fmt, out], help="wall, complemented-wall, or gi-reduce"
+    )
     p.add_argument("kind", choices=("wall", "complemented-wall", "gi-reduce"))
     p.add_argument("param", help="height, or a graph file for gi-reduce")
-    common(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("classify-pair", help="boundedness of the (sP1+P2, co(tP1+P2)) family")
     p.add_argument("s", type=int)
     p.add_argument("t", type=int)
-    common(p)
     p.set_defaults(func=_cmd_classify_pair)
 
     return parser

@@ -16,8 +16,9 @@ from .graphs import (
     GraphError,
     bipartite_complement,
     is_bipartite,
+    parse_edge_list_text,
+    to_edge_list_text,
 )
-from .search import Embedding, are_isomorphic
 
 
 @dataclass(frozen=True)
@@ -196,17 +197,11 @@ def verify_gi_profile(pg: PartitionedGraph) -> StructureReport:
     return StructureReport(not failures, failures)
 
 
-def reductions_isomorphic(g1: Graph, g2: Graph) -> Embedding | None:
-    return are_isomorphic(gi_reduce(g1).graph, gi_reduce(g2).graph)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: edge-list body plus a PART trailer.
 # ---------------------------------------------------------------------------
 
 def to_partitioned_text(pg: PartitionedGraph) -> str:
-    from .graphs import to_edge_list_text
-
     idx = {v: i for i, v in enumerate(pg.graph.vertices)}
     body = to_edge_list_text(pg.graph)
     lines = [body.rstrip("\n")]
@@ -217,15 +212,4 @@ def to_partitioned_text(pg: PartitionedGraph) -> str:
 
 
 def from_partitioned_text(text: str) -> PartitionedGraph:
-    from .graphs import from_edge_list_text
-
-    lines = text.splitlines()
-    body_lines = [ln for ln in lines if not ln.startswith("PART ")]
-    part_lines = [ln for ln in lines if ln.startswith("PART ")]
-    g = from_edge_list_text("\n".join(body_lines) + "\n")
-    parts: dict[str, frozenset[int]] = {}
-    for ln in part_lines:
-        head, _, ids = ln.partition(":")
-        name = head[len("PART ") :].strip()
-        parts[name] = frozenset(int(tok) for tok in ids.split())
-    return PartitionedGraph(g, parts)
+    return PartitionedGraph(*parse_edge_list_text(text))

@@ -317,7 +317,12 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list_text(text: str) -> Graph:
+def parse_edge_list_text(text: str) -> tuple[Graph, dict[str, frozenset[int]]]:
+    """Read the edge-list format plus an optional trailing block of
+    ``PART name: ids`` lines; returns the graph and its named parts.
+
+    Blank lines are ignored.  Edge ends and part ids must lie in 0..n-1.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError("empty edge-list input")
@@ -328,15 +333,36 @@ def from_edge_list_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"bad header line {lines[0]!r}") from None
-    if len(lines) - 1 != m:
-        raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = lines[1:]
+    trailer = next((i for i, ln in enumerate(body) if ln.startswith("PART ")), len(body))
+    if trailer != m:
+        raise GraphError(f"expected {m} edge lines, found {trailer}")
     edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
+    for ln in body[:trailer]:
+        ends = ln.split()
+        if len(ends) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
+        edges.append((int(ends[0]), int(ends[1])))
+    g = build_graph(n, edges)
+    named: dict[str, frozenset[int]] = {}
+    for ln in body[trailer:]:
+        label, colon, ids = ln.partition(":")
+        name = label[len("PART ") :].strip()
+        if not ln.startswith("PART ") or not colon or not name:
+            raise GraphError(f"bad PART line {ln!r}")
+        if name in named:
+            raise GraphError(f"part {name} is given twice")
+        members = [int(tok) for tok in ids.split()]
+        for v in members:
+            if not 0 <= v < n:
+                raise GraphError(f"part {name} id {v} out of range for n={n}")
+        named[name] = frozenset(members)
+    return g, named
+
+
+def from_edge_list_text(text: str) -> Graph:
+    """The graph of :func:`parse_edge_list_text`; any PART block is dropped."""
+    return parse_edge_list_text(text)[0]
 
 
 def to_graph6(g: Graph) -> str:

@@ -159,6 +159,15 @@ def test_certificate_json_rejects_unknown_version():
         certificate_from_json('{"version": "v2", "root": {}, "step": {}}')
 
 
+def test_certificate_json_rejects_deep_nesting():
+    step = '{"base": "disjoint_cliques"}'
+    for _ in range(3000):
+        step = '{"op": "prune_degree_one", "children": [%s]}' % step
+    text = '{"version": "v1", "root": {"n": 1, "m": 0, "hash": "x"}, "step": %s}' % step
+    with pytest.raises(ValueError, match="nested too deeply"):
+        certificate_from_json(text)
+
+
 # --- reduction by clique cover -------------------------------------------
 
 
@@ -406,9 +415,12 @@ ALLOWED_BOUNDS = {
 }
 
 
+MEMBER_SEEDS = {"2P1+P3": 1, "3P1+P2": 2, "P2+P3": 3}
+
+
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))
 def test_certify_random_members_end_to_end(h2, rng):
-    members = sample_members(["diamond", h2], 60, 12, seed=hash(h2) % 1000)
+    members = sample_members(["diamond", h2], 60, 12, seed=MEMBER_SEEDS[h2])
     for g in members:
         cert = CERTIFIERS[h2](g)
         result = verify_certificate(g, cert)
@@ -421,6 +433,62 @@ def test_certify_random_members_end_to_end(h2, rng):
                         step.justification,
                         step.stated_bound,
                     )
+
+
+def step_names(cert):
+    """Justifications of the deletions and names of the other steps; a
+    subgraph complementation of every root vertex reads "whole-graph"."""
+    names = set()
+    for step in iter_steps(cert.step):
+        if isinstance(step, DeleteVerticesStep):
+            names.add(step.justification)
+        elif isinstance(step, SubgraphComplementStep) and len(step.vertices) == cert.root.n:
+            names.add("whole-graph subgraph_complement")
+        elif not isinstance(step, BaseLeaf):
+            names.add(type(step).__name__)
+    return names
+
+
+K5_WITH_PATH = [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 6), (5, 6)]
+
+# Small members whose certificates reach the rarer step sites.  Sampled
+# members reach the first three at most once in 150 certificates, and the
+# outside-neighbour, cross-attached and hub sites not at all.
+STEP_SITES = [
+    ("single-cycle-neighbours", "P2+P3", 6,
+     [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4)],
+     {"single-cycle-neighbour-vertices"}),
+    ("opposite-pendants", "P2+P3", 7,
+     [(0, 1), (0, 3), (0, 6), (1, 2), (2, 3), (2, 5)],
+     {"opposite-pendant-pair"}),
+    ("separators", "2P1+P3", 6,
+     [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (4, 5)],
+     {"clique-independent-separators"}),
+    ("outside-neighbours", "P2+P3", 9,
+     [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4),
+      (2, 5), (2, 8), (3, 4), (5, 6)],
+     {"clique-vertices-with-outside-neighbours"}),
+    ("cross-attached", "P2+P3", 8,
+     [(0, 1), (0, 3), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 5), (3, 7), (4, 5),
+      (4, 7), (5, 6), (5, 7)],
+     {"cross-attached-pendants", "BipartiteComplementStep"}),
+    ("hub", "P2+P3", 9,
+     [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4), (0, 5), (2, 5), (0, 6), (2, 6),
+      (4, 7), (5, 7), (4, 8), (6, 8), (4, 5), (4, 6)],
+     {"shared-attachment-hub"}),
+    ("k5-prune-complement", "P2+P3", 7, K5_WITH_PATH,
+     {"PruneDegreeOneStep", "whole-graph subgraph_complement"}),
+]
+
+
+@pytest.mark.parametrize(
+    "h2, n, edges, wanted", [pytest.param(*rest, id=name) for name, *rest in STEP_SITES]
+)
+def test_certifier_step_sites(h2, n, edges, wanted):
+    g = build_graph(n, edges)
+    cert = CERTIFIERS[h2](g)
+    assert verify_certificate(g, cert).ok
+    assert wanted <= step_names(cert)
 
 
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))

@@ -119,6 +119,55 @@ def test_construct_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_construct_output_feeds_graph_commands(tmp_path, capsys):
+    out_path = tmp_path / "cwall.txt"
+    assert main(["construct", "complemented-wall", "2", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["check-free", str(out_path), "--spec", "diamond", "--spec", "P2+P4"]) == 0
+    assert capsys.readouterr().out == "free\n"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"op": "prune_degree_one", "children": 5},
+        {
+            "op": "delete_vertices",
+            "vertices": [0],
+            "justification": "pendant",
+            "stated_bound": "1",
+            "children": [{"base": "disjoint_cliques"}],
+        },
+    ],
+    ids=["children-not-a-list", "string-stated-bound"],
+)
+def test_verify_certificate_malformed(tmp_path, capsys, step):
+    c5 = write_graph(tmp_path, "c5.el", "C5")
+    bad = tmp_path / "bad.json"
+    root = {"n": 5, "m": 5, "hash": "0" * 16}
+    bad.write_text(json.dumps({"version": "v1", "root": root, "step": step}))
+    assert main(["verify-certificate", c5, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-free", "g.el", "--spec", "K3", "--seed", "1"],
+        ["check-free", "g.el", "--spec", "K3", "--out", "x"],
+        ["certify", "g.el", "P2+P3", "--unsafe-size"],
+        ["verify-certificate", "g.el", "c.json", "--out", "x"],
+        ["classify-pair", "2", "3", "--format", "graph6"],
+    ],
+)
+def test_options_only_where_they_apply(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
 def test_classify_pair_command(capsys):
     assert main(["classify-pair", "2", "3"]) == 0
     assert capsys.readouterr().out.strip() == "Bounded"

@@ -26,6 +26,7 @@ from cliquewidth import (
     to_edge_list_text,
     to_graph6,
 )
+from cliquewidth.graphs import parse_edge_list_text
 from brute import random_graph, two_core
 
 
@@ -201,6 +202,21 @@ def test_edge_list_round_trip():
         from_edge_list_text("3 2\n0 1\n")
     with pytest.raises(GraphError):
         from_edge_list_text("")
+
+
+def test_edge_list_part_trailer():
+    g, parts = parse_edge_list_text("3 1\n0 1\n\nPART A: 0 2\nPART B: 1\n")
+    assert g == build_graph(3, [(0, 1)])
+    assert parts == {"A": frozenset({0, 2}), "B": frozenset({1})}
+    assert from_edge_list_text("3 1\n0 1\nPART A: 0 1 2\n") == g
+    for bad in (
+        "3 1\n0 1\nPART A: 3\n",  # id out of range
+        "3 1\nPART A: 0\n0 1\n",  # edge line after the trailer
+        "3 1\n0 1\nPART A: 0\nPART A: 1\n",  # part named twice
+        "3 1\n0 1\nPART A 0\n",  # no colon
+    ):
+        with pytest.raises(GraphError):
+            parse_edge_list_text(bad)
 
 
 @settings(max_examples=80, deadline=None)
