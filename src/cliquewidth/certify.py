@@ -38,6 +38,27 @@ from .search import Embedding, FreenessWitness, contains_induced, fingerprint, i
 DESK_LIMIT = 16
 
 
+# Every justification the certifiers write on a vertex deletion.  The
+# verifier rejects any other, so a certificate cannot delete vertices on a
+# made-up ground.
+DELETE_JUSTIFICATIONS = frozenset(
+    {
+        "clique-independent-separators",
+        "clique-vertices-with-outside-neighbours",
+        "common-neighbours-of-nonconsecutive-cycle-pair",
+        "consecutive-pair-common-neighbours",
+        "cover-clique-below-size-threshold",
+        "cross-attached-pendants",
+        "cross-complete-vertices",
+        "cycle-vertices",
+        "opposite-pendant-pair",
+        "shared-attachment-hub",
+        "single-cycle-neighbour-vertices",
+        "small-class",
+    }
+)
+
+
 class NotInClassError(ValueError):
     """The input graph is outside the certifier's hereditary class."""
 
@@ -352,6 +373,9 @@ def _replay(
             failures.append(
                 f"{path}: deletes {len(node.vertices)} vertices, stated bound {node.stated_bound}"
             )
+            return
+        if node.justification not in DELETE_JUSTIFICATIONS:
+            failures.append(f"{path}: unknown justification {node.justification!r}")
             return
         _replay(delete_vertices(g, node.vertices), node.child, path + ".child", failures, leaves)
         return

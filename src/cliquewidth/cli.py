@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (or domain answer "yes"), 1 domain answer "no"
 (forbidden graph found, not in class, verification failed, unbounded), 2
-usage or I/O errors.  All output is deterministic for fixed inputs.
+usage or I/O errors, 3 internal error (a certifier reached a contradiction
+that a correct implementation cannot reach on a class member).  All output
+is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -147,6 +149,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"wall height {height}: {g.n} vertices, {g.m} edges")
         return 0
     if kind == "complemented-wall":
+        if args.format == "graph6":
+            raise CliError("complemented-wall output is partitioned and has no graph6 form")
         try:
             pg = complemented_wall(height)
         except ValueError as exc:
@@ -247,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except cert.InternalContradictionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,14 +2,16 @@
 
 Both engines are deterministic for fixed inputs.  The induced-subgraph
 search returns the lexicographically least embedding (image sequence over
-pattern vertices in id order); isomorphism uses colour refinement with
-individualisation and returns the first embedding found by that fixed
-search order.
+pattern vertices in id order).  Isomorphism is individualise-and-refine on
+one partition of the vertices of both graphs, refined from a queue of
+splitter cells (McKay & Piperno, *Practical graph isomorphism II*, 2014);
+it returns the first embedding found by its fixed search order.
+``colour_refinement`` recolours a whole graph per round and serves
+``fingerprint`` alone, whose colour ids are hashed into certificate roots.
 """
 from __future__ import annotations
 
-import hashlib
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_adjacency
@@ -177,7 +179,7 @@ def is_free(
 
 
 # ---------------------------------------------------------------------------
-# Colour refinement and isomorphism.
+# Colour refinement, isomorphism and fingerprints.
 # ---------------------------------------------------------------------------
 
 def colour_refinement(
@@ -198,62 +200,129 @@ def colour_refinement(
         colours = new
 
 
-def _joint_refine(
-    g: Graph, h: Graph, pins_g: dict[int, int], pins_h: dict[int, int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    adj: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    init: dict[tuple[int, int], int] = {}
-    for tag, graph, pins in ((0, g, pins_g), (1, h, pins_h)):
-        for v in graph.vertices:
-            adj[(tag, v)] = frozenset((tag, w) for w in graph.neighbors(v))
-            init[(tag, v)] = pins.get(v, -1)
-    out = colour_refinement(adj, init)
-    return (
-        {v: c for (t, v), c in out.items() if t == 0},
-        {v: c for (t, v), c in out.items() if t == 1},
-    )
+def _split(
+    n: int,
+    cell_of: list[int],
+    cells: list[list[int] | None],
+    cid: int,
+    parts: list[list[int]],
+    queue: deque[int],
+    queued: set[int],
+) -> bool:
+    """Replace cell ``cid`` by ``parts``, which take the next free ids in
+    order.  False if a part holds unequal numbers of g- and h-vertices."""
+    cells[cid] = None
+    ids = []
+    for vs in parts:
+        if 2 * sum(v < n for v in vs) != len(vs):
+            return False
+        new_id = len(cells)
+        cells.append(vs)
+        for v in vs:
+            cell_of[v] = new_id
+        ids.append(new_id)
+    if cid in queued:
+        queued.discard(cid)
+    else:
+        # The counts into the largest part follow from those into the old
+        # cell and into the other parts (Hopcroft).
+        ids.remove(max(ids, key=lambda i: len(cells[i])))
+    queue.extend(ids)
+    queued.update(ids)
+    return True
+
+
+def _refine(
+    adj: list[list[int]],
+    n: int,
+    cell_of: list[int],
+    cells: list[list[int] | None],
+    queue: deque[int],
+    queued: set[int],
+) -> bool:
+    """Split cells until each vertex of a cell has as many neighbours in
+    every cell as the others; False once a cell is unbalanced.
+
+    Vertices 0..n-1 belong to one graph and n..2n-1 to the other.  Every
+    decision depends on cell ids and neighbour counts only, never on vertex
+    ids, so an isomorphism that respects the starting partition also
+    respects the result.
+    """
+    while queue:
+        splitter = queue.popleft()
+        if splitter not in queued:
+            continue
+        queued.discard(splitter)
+        count: dict[int, int] = {}
+        for v in cells[splitter]:
+            for w in adj[v]:
+                count[w] = count.get(w, 0) + 1
+        touched: dict[int, dict[int, list[int]]] = {}
+        for w, c in count.items():
+            touched.setdefault(cell_of[w], {}).setdefault(c, []).append(w)
+        for cid in sorted(touched):
+            by_count = touched[cid]
+            cell = cells[cid]
+            hit = sum(len(vs) for vs in by_count.values())
+            if hit < len(cell):
+                by_count[0] = [v for v in cell if v not in count]
+            elif len(by_count) == 1:
+                continue
+            parts = [by_count[c] for c in sorted(by_count)]
+            if not _split(n, cell_of, cells, cid, parts, queue, queued):
+                return False
+    return True
 
 
 def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     """Bijective induced embedding of ``g`` onto ``h`` if one exists.
 
-    Individualisation-refinement backtracking; deterministic for fixed
-    inputs (cells and candidates are always scanned in sorted order).
+    Individualisation-refinement backtracking on one partition of the
+    vertices of both graphs.  The root is refined once; each child copies
+    its parent's partition, pins the least g-vertex of the smallest cell
+    that holds more than one vertex of each graph together with one
+    h-vertex of that cell, and refines from the pinned pair.  A branch dies
+    as soon as a cell holds unequal numbers of g- and h-vertices.
+    Deterministic for fixed inputs: cells and candidates are always scanned
+    in a fixed order.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
+    n = g.n
+    gv, hv = g.vertices, h.vertices
+    g_index = {v: i for i, v in enumerate(gv)}
+    h_index = {v: n + i for i, v in enumerate(hv)}
+    adj = [[g_index[w] for w in g.neighbors(v)] for v in gv]
+    adj += [[h_index[w] for w in h.neighbors(v)] for v in hv]
 
-    next_pin = [2_000_000]
-
-    def rec(pins_g: dict[int, int], pins_h: dict[int, int]) -> dict[int, int] | None:
-        cg, ch = _joint_refine(g, h, pins_g, pins_h)
-        if sorted(Counter(cg.values()).items()) != sorted(Counter(ch.values()).items()):
-            return None
-        classes_g: dict[int, list[int]] = {}
-        for v in sorted(cg):
-            classes_g.setdefault(cg[v], []).append(v)
-        # Discrete partition: read the mapping off colour matching.
-        if all(len(vs) == 1 for vs in classes_g.values()):
-            by_colour_h = {ch[w]: w for w in ch}
-            mapping = {vs[0]: by_colour_h[c] for c, vs in classes_g.items()}
-            for u, v in g.edges():
-                if not h.has_edge(mapping[u], mapping[v]):
-                    return None
-            return mapping
-        colour, cell = min(
-            ((c, vs) for c, vs in classes_g.items() if len(vs) > 1),
-            key=lambda item: (len(item[1]), item[0]),
-        )
-        u = cell[0]
-        pin = next_pin[0]
-        next_pin[0] += 1
-        for w in sorted(v for v in ch if ch[v] == colour):
-            res = rec({**pins_g, u: pin}, {**pins_h, w: pin})
-            if res is not None:
-                return res
+    def rec(cell_of: list[int], cells: list[list[int] | None]) -> dict[int, int] | None:
+        open_cells = [i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2]
+        if not open_cells:
+            # Every cell is one g-vertex and one h-vertex.  The partition is
+            # equitable, so each g-vertex has a neighbour in a cell exactly
+            # when its partner has one there: the pairs form an isomorphism.
+            pairs = (sorted(vs) for vs in cells if vs)
+            return {gv[a]: hv[b - n] for a, b in pairs}
+        cid = min(open_cells, key=lambda i: (len(cells[i]), i))
+        cell = cells[cid]
+        u = min(v for v in cell if v < n)
+        for w in sorted(v for v in cell if v >= n):
+            child_of, child = cell_of[:], cells[:]
+            queue: deque[int] = deque()
+            queued: set[int] = set()
+            rest = [v for v in cell if v != u and v != w]
+            _split(n, child_of, child, cid, [[u, w], rest], queue, queued)
+            if _refine(adj, n, child_of, child, queue, queued):
+                found = rec(child_of, child)
+                if found is not None:
+                    return found
         return None
 
-    mapping = rec({}, {})
+    queue = deque([0])
+    cell_of, cells = [0] * (2 * n), [list(range(2 * n))]
+    if not _refine(adj, n, cell_of, cells, queue, {0}):
+        return None
+    mapping = rec(cell_of, cells)
     if mapping is None:
         return None
     emb = Embedding(tuple(sorted(mapping.items())))
@@ -268,6 +337,10 @@ def fingerprint(g: Graph) -> tuple[int, int, str]:
     not a complete canonical form; together with n and m it serves as the
     root fingerprint of certificates.
     """
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that a process which never fingerprints a graph need not carry.
+    import hashlib
+
     init = {v: g.degree(v) for v in g.vertices}
     colours = colour_refinement({v: g.neighbors(v) for v in g.vertices}, init)
     hist = tuple(sorted(Counter(colours.values()).items()))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import pytest
@@ -9,10 +11,12 @@ from cliquewidth import (
     is_free,
     realize_text,
 )
+import cliquewidth.certify as certify_module
 from cliquewidth.certify import (
     BaseLeaf,
     Branch,
     Certificate,
+    DELETE_JUSTIFICATIONS,
     DeleteVerticesStep,
     InternalContradictionError,
     LEAF_WIDTH_BOUNDS,
@@ -93,6 +97,25 @@ def test_verify_rejects_unknown_vertex():
     assert not result.ok and "do not exist" in result.failures[0]
 
 
+def test_verify_rejects_unknown_justification():
+    g = realize_text("C9")
+    step = DeleteVerticesStep(g.vertices, "made-up", 9, BaseLeaf("disjoint_cliques"))
+    result = verify_certificate(g, Certificate(certificate_root(g), step))
+    assert not result.ok and "unknown justification 'made-up'" in result.failures[0]
+
+
+def test_delete_justifications_are_the_certifier_literals():
+    tree = ast.parse(inspect.getsource(certify_module))
+    written = {
+        call.args[1].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "delete"
+    }
+    assert written == DELETE_JUSTIFICATIONS
+
+
 def test_verify_rejects_crossing_split():
     g = realize_text("P2")
     step = SplitComponentsStep(
@@ -129,7 +152,7 @@ def test_verify_step_replay_chain():
     g = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     step = DeleteVerticesStep(
         (3,),
-        "pendant",
+        "shared-attachment-hub",
         1,
         SubgraphComplementStep((0, 1, 2), BaseLeaf("disjoint_cliques")),
     )

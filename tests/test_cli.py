@@ -3,7 +3,12 @@ import json
 import pytest
 
 from cliquewidth import realize_text, to_edge_list_text, to_graph6, verify_expression
-from cliquewidth.certify import certificate_from_json, verify_certificate
+from cliquewidth import cli
+from cliquewidth.certify import (
+    InternalContradictionError,
+    certificate_from_json,
+    verify_certificate,
+)
 from cliquewidth.cli import main
 from cliquewidth.kexpr import parse_expression
 
@@ -117,6 +122,28 @@ def test_construct_commands(tmp_path, capsys):
 
     assert main(["construct", "wall", "x"]) == 2
     capsys.readouterr()
+
+
+def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
+    out_path = tmp_path / "cwall.g6"
+    argv = ["construct", "complemented-wall", "2", "--format", "graph6", "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_internal_contradiction_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise InternalContradictionError("cover vanished")
+
+    monkeypatch.setitem(cli._CERTIFIERS, "P2+P3", broken)
+    star = write_graph(tmp_path, "star.el", "K1,3")
+    assert main(["certify", star, "P2+P3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: cover vanished\n"
 
 
 def test_construct_output_feeds_graph_commands(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import networkx as nx
+import pytest
 
 from cliquewidth import (
     Graph,
@@ -9,7 +10,33 @@ from cliquewidth import (
     is_free,
     realize_text,
 )
+from cliquewidth.constructions import complemented_wall, gi_reduce
 from brute import brute_contains_induced, random_graph
+
+
+def _permuted(g: Graph, rng) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(range(g.n), [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _cayley_z4z4(connection) -> Graph:
+    def vid(a, b):
+        return 4 * (a % 4) + b % 4
+
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    return Graph(
+        range(16), [(vid(a, b), vid(a + x, b + y)) for a, b in cells for x, y in connection]
+    )
+
+
+# Both are strongly regular with parameters (16, 6, 2, 2), so colour
+# refinement leaves each in a single cell.
+SHRIKHANDE = _cayley_z4z4([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+ROOK_4X4 = Graph(
+    range(16),
+    [(u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4],
+)
 
 
 def test_contains_induced_examples():
@@ -109,6 +136,32 @@ def test_are_isomorphic_deterministic():
     assert first == second
 
 
+def test_are_isomorphic_refinement_equivalent_pairs():
+    c6 = gi_reduce(realize_text("C6")).graph
+    two_k3 = gi_reduce(realize_text("2K3")).graph
+    assert are_isomorphic(c6, two_k3) is None
+    assert are_isomorphic(SHRIKHANDE, ROOK_4X4) is None
+
+
+@pytest.mark.parametrize("g", [SHRIKHANDE, ROOK_4X4], ids=["shrikhande", "rook-4x4"])
+def test_are_isomorphic_strongly_regular_permuted(rng, g):
+    h = _permuted(g, rng)
+    emb = are_isomorphic(g, h)
+    assert emb is not None and emb.validate(h, g)
+
+
+def test_are_isomorphic_cubic_against_networkx():
+    for n in range(8, 21, 2):
+        for seed in range(3):
+            nxg = nx.random_regular_graph(3, n, seed=100 * n + seed)
+            nxh = nx.random_regular_graph(3, n, seed=100 * n + seed + 50)
+            g, h = Graph(range(n), nxg.edges()), Graph(range(n), nxh.edges())
+            emb = are_isomorphic(g, h)
+            assert (emb is not None) == nx.is_isomorphic(nxg, nxh)
+            if emb is not None:
+                assert emb.validate(h, g)
+
+
 def test_fingerprint_isomorphism_invariant(rng):
     for _ in range(40):
         n = rng.randint(1, 10)
@@ -119,6 +172,31 @@ def test_fingerprint_isomorphism_invariant(rng):
         assert fingerprint(g) == fingerprint(h)
     assert fingerprint(realize_text("C5")) != fingerprint(realize_text("P5"))
     assert fingerprint(realize_text("K3+P1")) != fingerprint(realize_text("P4"))
+
+
+PETERSEN = Graph(
+    range(10),
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (realize_text("P4"), (4, 3, "c07b09e6941da8e7")),
+        (realize_text("C5"), (5, 5, "364afa46d72572b2")),
+        (PETERSEN, (10, 15, "d006d2ebaf3e5b49")),
+        (complemented_wall(2).graph, (35, 102, "40386ad6d9fc4ac6")),
+        (gi_reduce(realize_text("P3")).graph, (67, 220, "b5a6d07f3c04fa94")),
+        (realize_text("K3+P1"), (4, 3, "580b8b347390698c")),
+    ],
+    ids=["P4", "C5", "petersen", "complemented-wall-2", "gi-reduce-P3", "K3+P1"],
+)
+def test_fingerprint_golden(g, expected):
+    # Certificate roots carry this hash; a change here breaks stored certificates.
+    assert fingerprint(g) == expected
 
 
 def test_embedding_revalidation_always_passes(rng):
