@@ -347,12 +347,15 @@ def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> Non
             failures.append(f"{path}: explicit leaf missing its expression")
             return
         try:
-            expr = parse_expression(leaf.expression)
-        except ValueError as exc:
-            failures.append(f"{path}: bad expression: {exc}")
-            return
-        if not verify_expression(expr, g):
-            failures.append(f"{path}: expression does not evaluate to the leaf graph")
+            try:
+                expr = parse_expression(leaf.expression)
+            except ValueError as exc:
+                failures.append(f"{path}: bad expression: {exc}")
+                return
+            if not verify_expression(expr, g):
+                failures.append(f"{path}: expression does not evaluate to the leaf graph")
+        except RecursionError:
+            failures.append(f"{path}: expression is nested too deeply to check")
     else:
         failures.append(f"{path}: unknown leaf kind {leaf.kind!r}")
 

@@ -3,6 +3,11 @@
 Vertex ids are arbitrary non-negative integers.  Operations that derive a new
 graph never renumber surviving vertices, so reduction certificates and
 witnesses can keep naming vertices across a whole chain of operations.
+
+``Graph(vertices, edges)`` validates its input and is the way in for graphs
+from outside the program.  The derived operations below work on the
+adjacency sets of a graph that already passed that check and build their
+result with the private ``Graph._from_adj``, which checks nothing.
 """
 from __future__ import annotations
 
@@ -28,23 +33,29 @@ class Graph:
         for v in verts:
             if v < 0:
                 raise GraphError(f"negative vertex id {v}")
-        m = 0
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
             adj[u].add(v)
             adj[v].add(u)
-            m += 1
         self._verts = verts
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._m = m
+        self._m = sum(map(len, adj.values())) // 2
+
+    @classmethod
+    def _from_adj(cls, adj: dict[int, frozenset[int]]) -> Graph:
+        """Wrap the adjacency map of a graph derived from a validated one.
+
+        The map must be symmetric and loop-free over non-negative ids;
+        nothing is checked.
+        """
+        g = object.__new__(cls)
+        g._verts = tuple(sorted(adj))
+        g._adj = adj
+        g._m = sum(map(len, adj.values())) // 2
+        return g
 
     @property
     def n(self) -> int:
@@ -93,7 +104,7 @@ class Graph:
         return self._verts == other._verts and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._verts, frozenset(self.edges())))
+        return hash(frozenset(self._adj.items()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -117,58 +128,47 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(range(n), edges)
 
 
+def _require(g: Graph, vs: Iterable[int]) -> None:
+    """Reject the first id of ``vs`` that is not a vertex of ``g``."""
+    for v in vs:
+        if v not in g._adj:
+            raise GraphError(f"unknown vertex {v}")
+
+
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex ids."""
-    verts = g.vertices
-    edges = [
-        (u, v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if not g.has_edge(u, v)
-    ]
-    return Graph(verts, edges)
+    everyone = frozenset(g._adj)
+    return Graph._from_adj({v: everyone - nb - {v} for v, nb in g._adj.items()})
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; ids of ``g`` are kept, ids of ``h`` are freshened."""
     base = (g.vertices[-1] + 1) if g.n else 0
     remap = {v: base + i for i, v in enumerate(h.vertices)}
-    verts = list(g.vertices) + [remap[v] for v in h.vertices]
-    edges = list(g.edges()) + [(remap[u], remap[v]) for u, v in h.edges()]
-    return Graph(verts, edges)
+    adj = dict(g._adj)
+    for v, nb in h._adj.items():
+        adj[remap[v]] = frozenset(remap[w] for w in nb)
+    return Graph._from_adj(adj)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Induced subgraph on ``keep``; surviving ids are preserved."""
     keep_set = set(keep)
-    for v in keep_set:
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
-    edges = [(u, v) for u, v in g.edges() if u in keep_set and v in keep_set]
-    return Graph(keep_set, edges)
+    _require(g, keep_set)
+    return Graph._from_adj({v: nb & keep_set for v, nb in g._adj.items() if v in keep_set})
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
     drop_set = set(drop)
-    for v in drop_set:
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
-    return induced_subgraph(g, set(g.vertices) - drop_set)
+    _require(g, drop_set)
+    return Graph._from_adj({v: nb - drop_set for v, nb in g._adj.items() if v not in drop_set})
 
 
 def subgraph_complement(g: Graph, inside: Iterable[int]) -> Graph:
     """Flip every adjacency between pairs of vertices of ``inside``."""
-    s = sorted(set(inside))
-    for v in s:
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
-    s_set = set(s)
-    edges = [(u, v) for u, v in g.edges() if not (u in s_set and v in s_set)]
-    for i, u in enumerate(s):
-        for v in s[i + 1 :]:
-            if not g.has_edge(u, v):
-                edges.append((u, v))
-    return Graph(g.vertices, edges)
+    s = set(inside)
+    _require(g, sorted(s))
+    return Graph._from_adj({v: (nb ^ s) - {v} if v in s else nb for v, nb in g._adj.items()})
 
 
 def bipartite_complement(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Graph:
@@ -176,19 +176,10 @@ def bipartite_complement(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Grap
     x_set, y_set = set(xs), set(ys)
     if x_set & y_set:
         raise GraphError(f"sets overlap on {sorted(x_set & y_set)}")
-    for v in x_set | y_set:
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
-
-    def crosses(u: int, v: int) -> bool:
-        return (u in x_set and v in y_set) or (u in y_set and v in x_set)
-
-    edges = [(u, v) for u, v in g.edges() if not crosses(u, v)]
-    for u in sorted(x_set):
-        for v in sorted(y_set):
-            if not g.has_edge(u, v):
-                edges.append((u, v))
-    return Graph(g.vertices, edges)
+    _require(g, x_set | y_set)
+    return Graph._from_adj(
+        {v: nb ^ y_set if v in x_set else nb ^ x_set if v in y_set else nb for v, nb in g._adj.items()}
+    )
 
 
 def prune_degree_one(g: Graph) -> Graph:
@@ -294,10 +285,7 @@ def bit_adjacency(g: Graph) -> tuple[list[int], dict[int, int], list[int]]:
     """Vertex list, id->index map, and neighbour bitmasks (index-based)."""
     verts = list(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for u, v in g.edges():
-        masks[idx[u]] |= 1 << idx[v]
-        masks[idx[v]] |= 1 << idx[u]
+    masks = [sum(1 << idx[w] for w in g._adj[v]) for v in verts]
     return verts, idx, masks
 
 
@@ -370,12 +358,8 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > 62:
         raise GraphError("graph6 writer supports n <= 62 only")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    bits = []
-    adj = {(idx[u], idx[v]) for u, v in g.edges()}
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if ((i, j) in adj or (j, i) in adj) else 0)
+    verts = g.vertices
+    bits = [int(g.has_edge(verts[i], verts[j])) for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     chars = [chr(n + 63)]

@@ -12,6 +12,7 @@ Grammar (whitespace insignificant)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import Graph, build_graph, complement, disjoint_union
 
@@ -204,8 +205,13 @@ def _realize_base(base: BaseGraph) -> Graph:
     raise AssertionError(f"unknown base kind {kind}")
 
 
+@cache
 def realize(spec: NamedGraphSpec) -> Graph:
-    """Build the denoted graph with fresh ids 0..n-1, components in term order."""
+    """Build the denoted graph with fresh ids 0..n-1, components in term order.
+
+    Cached per spec: specs are frozen values and graphs are immutable, so
+    every caller can share one result.
+    """
     result = Graph([], [])
     for mult, base in spec.terms:
         piece = complement(realize(base.inner)) if isinstance(base, ComplementOf) else _realize_base(base)

@@ -12,6 +12,7 @@ it returns the first embedding found by its fixed search order.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_adjacency
@@ -295,36 +296,40 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     adj = [[g_index[w] for w in g.neighbors(v)] for v in gv]
     adj += [[h_index[w] for w in h.neighbors(v)] for v in hv]
 
-    def rec(cell_of: list[int], cells: list[list[int] | None]) -> dict[int, int] | None:
+    cell_of, cells = [0] * (2 * n), [list(range(2 * n))]
+    if not _refine(adj, n, cell_of, cells, deque([0]), {0}):
+        return None
+    # Depth-first search with an explicit stack, so that deep chains of
+    # individualisations need no recursion.  A frame holds a refined
+    # partition, its branching cell, the pinned g-vertex and the h-vertices
+    # not yet tried.
+    stack: list[tuple[list[int], list[list[int] | None], int, int, Iterator[int]]] = []
+    while True:
         open_cells = [i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2]
         if not open_cells:
-            # Every cell is one g-vertex and one h-vertex.  The partition is
-            # equitable, so each g-vertex has a neighbour in a cell exactly
-            # when its partner has one there: the pairs form an isomorphism.
-            pairs = (sorted(vs) for vs in cells if vs)
-            return {gv[a]: hv[b - n] for a, b in pairs}
+            break
         cid = min(open_cells, key=lambda i: (len(cells[i]), i))
-        cell = cells[cid]
-        u = min(v for v in cell if v < n)
-        for w in sorted(v for v in cell if v >= n):
-            child_of, child = cell_of[:], cells[:]
+        u = min(v for v in cells[cid] if v < n)
+        stack.append((cell_of, cells, cid, u, iter(sorted(v for v in cells[cid] if v >= n))))
+        refined = False
+        while not refined:
+            if not stack:
+                return None
+            parent_of, parent, cid, u, candidates = stack[-1]
+            w = next(candidates, None)
+            if w is None:
+                stack.pop()
+                continue
+            cell_of, cells = parent_of[:], parent[:]
             queue: deque[int] = deque()
             queued: set[int] = set()
-            rest = [v for v in cell if v != u and v != w]
-            _split(n, child_of, child, cid, [[u, w], rest], queue, queued)
-            if _refine(adj, n, child_of, child, queue, queued):
-                found = rec(child_of, child)
-                if found is not None:
-                    return found
-        return None
-
-    queue = deque([0])
-    cell_of, cells = [0] * (2 * n), [list(range(2 * n))]
-    if not _refine(adj, n, cell_of, cells, queue, {0}):
-        return None
-    mapping = rec(cell_of, cells)
-    if mapping is None:
-        return None
+            rest = [v for v in parent[cid] if v != u and v != w]
+            _split(n, cell_of, cells, cid, [[u, w], rest], queue, queued)
+            refined = _refine(adj, n, cell_of, cells, queue, queued)
+    # Every cell is one g-vertex and one h-vertex.  The partition is
+    # equitable, so each g-vertex has a neighbour in a cell exactly when its
+    # partner has one there: the pairs form an isomorphism.
+    mapping = {gv[a]: hv[b - n] for a, b in (sorted(vs) for vs in cells if vs)}
     emb = Embedding(tuple(sorted(mapping.items())))
     assert emb.validate(h, g)
     return emb

@@ -2,11 +2,15 @@ import json
 
 import pytest
 
-from cliquewidth import realize_text, to_edge_list_text, to_graph6, verify_expression
+from cliquewidth import Graph, realize_text, to_edge_list_text, to_graph6, verify_expression
 from cliquewidth import cli
 from cliquewidth.certify import (
+    BaseLeaf,
+    Certificate,
     InternalContradictionError,
     certificate_from_json,
+    certificate_root,
+    certificate_to_json,
     verify_certificate,
 )
 from cliquewidth.cli import main
@@ -177,6 +181,23 @@ def test_verify_certificate_malformed(tmp_path, capsys, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_verify_certificate_deep_expression(tmp_path, capsys):
+    # A correct explicit leaf for 1100 isolated vertices, nested deeper than
+    # the parser can recurse: one failure line, no traceback.
+    g = Graph(range(1100), [])
+    expression = "v1"
+    for _ in range(g.n - 1):
+        expression = f"(v1 | {expression})"
+    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
+    graph_path.write_text(to_edge_list_text(g))
+    leaf = BaseLeaf("explicit_expression", expression=expression)
+    cert_path.write_text(certificate_to_json(Certificate(certificate_root(g), leaf)))
+    assert main(["verify-certificate", str(graph_path), str(cert_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "step: expression is nested too deeply to check\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

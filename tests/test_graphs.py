@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cliquewidth import (
     to_edge_list_text,
     to_graph6,
 )
-from cliquewidth.graphs import parse_edge_list_text
+from cliquewidth.graphs import bit_adjacency, delete_vertices, parse_edge_list_text
 from brute import random_graph, two_core
 
 
@@ -40,6 +42,90 @@ def graphs_strategy(max_n=8):
         return build_graph(n, edges)
 
     return build()
+
+
+@st.composite
+def sparse_id_graphs(draw):
+    """Vertex ids drawn from 0..29, edges as plain pairs (u < v)."""
+    verts = sorted(draw(st.sets(st.integers(min_value=0, max_value=29), max_size=8)))
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+    edges = [p for p in pairs if draw(st.booleans())]
+    return verts, edges
+
+
+def _subset(draw, verts):
+    return [v for v in verts if draw(st.booleans())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derived_operations_match_edge_lists(data):
+    # Every derived operation must give the graph that the validating
+    # constructor builds from an edge list computed here in plain Python.
+    verts, edges = data.draw(sparse_id_graphs())
+    h_verts, h_edges = data.draw(sparse_id_graphs())
+    s = _subset(data.draw, verts)
+    xs = _subset(data.draw, verts)
+    ys = [v for v in _subset(data.draw, verts) if v not in xs]
+    g, h = Graph(verts, edges), Graph(h_verts, h_edges)
+    edge_set = set(edges)
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+
+    def crosses(u, v):
+        return (u in xs and v in ys) or (u in ys and v in xs)
+
+    base = verts[-1] + 1 if verts else 0
+    fresh = {v: base + i for i, v in enumerate(h_verts)}
+    cases = [
+        (complement(g), verts, [p for p in pairs if p not in edge_set]),
+        (
+            disjoint_union(g, h),
+            verts + [fresh[v] for v in h_verts],
+            edges + [(fresh[u], fresh[v]) for u, v in h_edges],
+        ),
+        (induced_subgraph(g, s), s, [(u, v) for u, v in edges if u in s and v in s]),
+        (
+            delete_vertices(g, s),
+            [v for v in verts if v not in s],
+            [(u, v) for u, v in edges if u not in s and v not in s],
+        ),
+        (
+            subgraph_complement(g, s),
+            verts,
+            [p for p in pairs if (p in edge_set) != (p[0] in s and p[1] in s)],
+        ),
+        (
+            bipartite_complement(g, xs, ys),
+            verts,
+            [p for p in pairs if (p in edge_set) != crosses(*p)],
+        ),
+    ]
+    for got, exp_verts, exp_edges in cases:
+        expected = Graph(exp_verts, exp_edges)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.m == len(exp_edges)
+        assert got.edges() == tuple(sorted(exp_edges))
+        assert got.degree_sequence() == expected.degree_sequence()
+        order, idx, masks = bit_adjacency(got)
+        own = [0] * len(order)
+        for u, v in exp_edges:
+            own[idx[u]] |= 1 << idx[v]
+            own[idx[v]] |= 1 << idx[u]
+        assert order == sorted(exp_verts) and masks == own
+
+
+def test_unvalidated_construction_stays_in_graphs():
+    # Only graphs.py may build a graph from a raw adjacency map or read one.
+    package = Path(__file__).resolve().parent.parent / "src" / "cliquewidth"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not names & {"_adj", "_from_adj"}, path.name
 
 
 def test_build_graph_empty():

@@ -109,3 +109,7 @@ def test_spec_type_is_hashable_value():
     b = parse_spec("2P1 + P2")
     assert a == b and hash(a) == hash(b)
     assert isinstance(a, NamedGraphSpec)
+
+
+def test_realize_is_cached():
+    assert realize(parse_spec("P2+P4")) is realize(parse_spec("P2+P4"))

@@ -143,6 +143,14 @@ def test_are_isomorphic_refinement_equivalent_pairs():
     assert are_isomorphic(SHRIKHANDE, ROOK_4X4) is None
 
 
+def test_are_isomorphic_deep_search():
+    # Refinement cannot split an edgeless graph, so the search pins one
+    # pair per level, more levels than the interpreter allows recursion.
+    g, h = Graph(range(1100), []), Graph(range(7, 1107), [])
+    emb = are_isomorphic(g, h)
+    assert emb is not None and emb.validate(h, g)
+
+
 @pytest.mark.parametrize("g", [SHRIKHANDE, ROOK_4X4], ids=["shrikhande", "rook-4x4"])
 def test_are_isomorphic_strongly_regular_permuted(rng, g):
     h = _permuted(g, rng)
