@@ -153,8 +153,13 @@ class _Parser:
         raise SpecSyntaxError("expected a graph name", self.pos)
 
 
+@cache
 def parse_spec(text: str) -> NamedGraphSpec:
-    """Parse a named-graph string into its AST."""
+    """Parse a named-graph string into its AST.
+
+    Cached per string, like ``realize``: specs are frozen values.  A
+    malformed string is not cached and raises on every call.
+    """
     return _Parser(text).parse()
 
 

@@ -2,10 +2,15 @@
 
 Both engines are deterministic for fixed inputs.  The induced-subgraph
 search returns the lexicographically least embedding (image sequence over
-pattern vertices in id order).  Isomorphism is individualise-and-refine on
-one partition of the vertices of both graphs, refined from a queue of
-splitter cells (McKay & Piperno, *Practical graph isomorphism II*, 2014);
-it returns the first embedding found by its fixed search order.
+pattern vertices in id order).  It works on host bitmasks and computes
+candidates for the next pattern vertex only, from the images of its
+earlier-placed neighbours and non-neighbours; the last component of a
+disconnected pattern, when it has one or two vertices, is decided by a
+bitmask test on the common non-neighbourhood of the other images and never
+enumerated.  Isomorphism is individualise-and-refine on one partition of
+the vertices of both graphs, refined from a queue of splitter cells and
+undone from a trail (McKay & Piperno, *Practical graph isomorphism II*,
+2014); it returns the first embedding found by its fixed search order.
 ``colour_refinement`` recolours a whole graph per round and serves
 ``fingerprint`` alone, whose colour ids are hashed into certificate roots.
 """
@@ -56,9 +61,10 @@ class FreenessWitness:
     embedding: Embedding
 
 
-def _search_order(pattern: Graph) -> list[int]:
-    """Connectivity-aware static order: big components first, BFS from the
-    highest-degree vertex inside each.  Used for fast absence proofs."""
+def _search_order(pattern: Graph) -> list[list[int]]:
+    """Connectivity-aware static order: the components, big ones first, each
+    in BFS order from its highest-degree vertex.  Used for fast absence
+    proofs."""
     comps: list[list[int]] = []
     seen: set[int] = set()
     for start in sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v)):
@@ -76,76 +82,97 @@ def _search_order(pattern: Graph) -> list[int]:
                     queue.append(w)
         comps.append(order)
     comps.sort(key=lambda c: (-len(c), c))
-    return [v for comp in comps for v in comp]
+    return comps
 
 
-def _backtrack(host: Graph, pattern: Graph, order: list[int]) -> dict[int, int] | None:
-    hv, _, hmask = bit_adjacency(host)
-    pv = list(pattern.vertices)
-    p_idx = {v: i for i, v in enumerate(pv)}
-    nh = len(hv)
-    full = (1 << nh) - 1
+def _backtrack(
+    hmask: list[int], pattern: Graph, order: list[int], tail: int = 0
+) -> list[int] | None:
+    """Host indices for ``order[:len(order) - tail]`` that extend to an
+    induced copy of ``pattern``, or None if there is no copy.
 
-    # Degree-compatible starting domains.
-    h_deg = [bin(mk).count("1") for mk in hmask]
-    domains = []
-    for u in pv:
-        du = pattern.degree(u)
-        dom = 0
-        for i in range(nh):
-            if h_deg[i] >= du:
-                dom |= 1 << i
-        domains.append(dom)
+    ``hmask`` holds the host's neighbour bitmasks.  Candidates are found for
+    the next pattern vertex only: its degree domain, minus the used host
+    vertices, ANDed with the neighbour mask of each earlier-placed
+    neighbour's image and the non-neighbour mask of each earlier-placed
+    non-neighbour's image.  Candidates are tried in ascending index, so the
+    first copy found is the least image sequence in the given order.
 
-    pos_of = {u: k for k, u in enumerate(order)}
-    adj_in_pattern = [
-        [p_idx[w] for w in pattern.neighbors(u)] for u in pv
-    ]
+    ``tail`` > 0 says that the last ``tail`` vertices of ``order`` form a
+    component of one or two vertices.  The tail must then fit in ``room``,
+    the unused common non-neighbourhood of the images placed so far, which
+    only shrinks down the search: a branch is cut as soon as it does not
+    fit, and the tail itself is never enumerated.
+    """
+    full = (1 << len(hmask)) - 1
+    comask = [full ^ mk for mk in hmask]
+    by_degree: dict[int, int] = {}
+    for d in {pattern.degree(u) for u in order}:
+        by_degree[d] = sum(1 << i for i, mk in enumerate(hmask) if mk.bit_count() >= d)
+    if not all(by_degree.values()):
+        return None
+    stop = len(order) - tail
+    doms = [by_degree[pattern.degree(u)] for u in order]
+    # Earlier positions whose images must be adjacent / non-adjacent.
+    nbrs = [[j for j in range(k) if pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
+    nons = [[j for j in range(k) if not pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
 
-    assignment: list[int] = [-1] * len(pv)
+    def fit(room: int, seen: int) -> int:
+        """A placement of the tail inside ``room`` as a mask, or 0.  The
+        placement ``seen`` one level up is kept while it still fits."""
+        if seen and seen & room == seen:
+            return seen
+        if tail == 1:
+            return room & -room
+        # A two-vertex component is an edge: scan for a vertex of the room
+        # with a higher-indexed neighbour there.
+        rest = room
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = hmask[low.bit_length() - 1] & rest
+            if nb:
+                return low | (nb & -nb)
+        return 0
 
-    def rec(k: int, doms: list[int], used: int) -> bool:
-        if k == len(order):
+    img = [0] * stop
+
+    def rec(k: int, used: int, room: int, seen: int) -> bool:
+        if k == stop:
             return True
-        u = order[k]
-        ui = p_idx[u]
-        cand = doms[ui] & ~used
+        cand = doms[k] & ~used
+        for j in nbrs[k]:
+            cand &= hmask[img[j]]
+        for j in nons[k]:
+            cand &= comask[img[j]]
         while cand:
             low = cand & -cand
             cand ^= low
-            hi = low.bit_length() - 1
-            assignment[ui] = hi
-            new_doms = list(doms)
-            ok = True
-            for w_idx in range(len(pv)):
-                if assignment[w_idx] != -1 or w_idx == ui:
-                    continue
-                if w_idx in adj_in_pattern[ui]:
-                    new_doms[w_idx] &= hmask[hi]
-                else:
-                    new_doms[w_idx] &= full & ~hmask[hi]
-                new_doms[w_idx] &= ~low
-                if new_doms[w_idx] == 0:
-                    ok = False
-                    break
-            if ok and rec(k + 1, new_doms, used | low):
+            i = low.bit_length() - 1
+            img[k] = i
+            if tail:
+                now = room & comask[i]
+                placed = fit(now & ~(used | low), seen)
+                if placed and rec(k + 1, used | low, now, placed):
+                    return True
+            elif rec(k + 1, used | low, 0, 0):
                 return True
-            assignment[ui] = -1
         return False
 
-    if any(d == 0 for d in domains):
-        return None
-    if rec(0, domains, 0):
-        return {pv[i]: hv[assignment[i]] for i in range(len(pv))}
-    return None
+    return img if rec(0, 0, full, 0) else None
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """Find an induced copy of ``pattern`` in ``host``.
 
-    Presence is decided with a connectivity-aware order; when a copy exists a
-    second pass in plain id order recovers the lexicographically least
-    embedding.
+    Presence is decided first by ``_backtrack`` in the order of
+    ``_search_order``.  When the pattern is disconnected and its last
+    component there has one or two vertices, that component is not searched:
+    it only has to fit among the host vertices adjacent to no image placed
+    before it, which is checked by bitmask at every step.  Only when a copy
+    exists does a second pass in plain id order recover the
+    lexicographically least embedding (image sequence over pattern vertices
+    in id order).
     """
     if pattern.n == 0:
         return Embedding(())
@@ -156,12 +183,15 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     co_h = host.n * (host.n - 1) // 2 - host.m
     if co_p > co_h:
         return None
-    found = _backtrack(host, pattern, _search_order(pattern))
-    if found is None:
+    hv, _, hmask = bit_adjacency(host)
+    comps = _search_order(pattern)
+    tail = len(comps[-1]) if len(comps) > 1 and len(comps[-1]) <= 2 else 0
+    if _backtrack(hmask, pattern, [v for comp in comps for v in comp], tail) is None:
         return None
-    lex = _backtrack(host, pattern, list(pattern.vertices))
+    order = list(pattern.vertices)
+    lex = _backtrack(hmask, pattern, order)
     assert lex is not None
-    emb = Embedding(tuple(sorted(lex.items())))
+    emb = Embedding(tuple(zip(order, (hv[i] for i in lex))))
     assert emb.validate(host, pattern)
     return emb
 
@@ -209,14 +239,17 @@ def _split(
     parts: list[list[int]],
     queue: deque[int],
     queued: set[int],
+    trail: list[tuple[int, int]],
 ) -> bool:
     """Replace cell ``cid`` by ``parts``, which take the next free ids in
-    order.  False if a part holds unequal numbers of g- and h-vertices."""
+    order, and record the split on ``trail``.  False, with nothing changed,
+    if a part holds unequal numbers of g- and h-vertices."""
+    if any(2 * sum(v < n for v in vs) != len(vs) for vs in parts):
+        return False
+    trail.append((cid, len(cells)))
     cells[cid] = None
     ids = []
     for vs in parts:
-        if 2 * sum(v < n for v in vs) != len(vs):
-            return False
         new_id = len(cells)
         cells.append(vs)
         for v in vs:
@@ -233,6 +266,23 @@ def _split(
     return True
 
 
+def _undo(
+    cell_of: list[int],
+    cells: list[list[int] | None],
+    trail: list[tuple[int, int]],
+    mark: int,
+) -> None:
+    """Merge back every split recorded on ``trail`` after ``mark``, newest
+    first.  The newest split's parts are always the last cells."""
+    while len(trail) > mark:
+        cid, first = trail.pop()
+        merged = [v for vs in cells[first:] for v in vs]
+        del cells[first:]
+        for v in merged:
+            cell_of[v] = cid
+        cells[cid] = merged
+
+
 def _refine(
     adj: list[list[int]],
     n: int,
@@ -240,14 +290,15 @@ def _refine(
     cells: list[list[int] | None],
     queue: deque[int],
     queued: set[int],
+    trail: list[tuple[int, int]],
 ) -> bool:
     """Split cells until each vertex of a cell has as many neighbours in
     every cell as the others; False once a cell is unbalanced.
 
     Vertices 0..n-1 belong to one graph and n..2n-1 to the other.  Every
     decision depends on cell ids and neighbour counts only, never on vertex
-    ids, so an isomorphism that respects the starting partition also
-    respects the result.
+    ids or on the order of the vertices inside a cell, so an isomorphism
+    that respects the starting partition also respects the result.
     """
     while queue:
         splitter = queue.popleft()
@@ -270,7 +321,7 @@ def _refine(
             elif len(by_count) == 1:
                 continue
             parts = [by_count[c] for c in sorted(by_count)]
-            if not _split(n, cell_of, cells, cid, parts, queue, queued):
+            if not _split(n, cell_of, cells, cid, parts, queue, queued, trail):
                 return False
     return True
 
@@ -279,13 +330,14 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     """Bijective induced embedding of ``g`` onto ``h`` if one exists.
 
     Individualisation-refinement backtracking on one partition of the
-    vertices of both graphs.  The root is refined once; each child copies
-    its parent's partition, pins the least g-vertex of the smallest cell
-    that holds more than one vertex of each graph together with one
-    h-vertex of that cell, and refines from the pinned pair.  A branch dies
-    as soon as a cell holds unequal numbers of g- and h-vertices.
-    Deterministic for fixed inputs: cells and candidates are always scanned
-    in a fixed order.
+    vertices of both graphs.  The root is refined once; each child pins the
+    least g-vertex of the smallest cell that holds more than one vertex of
+    each graph together with one h-vertex of that cell, and refines from the
+    pinned pair.  A branch dies as soon as a cell holds unequal numbers of
+    g- and h-vertices.  All frames share one partition: every split is
+    recorded on a trail, and a frame undoes the splits made after it before
+    it tries its next candidate (McKay & Piperno 2014).  Deterministic for
+    fixed inputs: cells and candidates are always scanned in a fixed order.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
@@ -297,35 +349,36 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     adj += [[h_index[w] for w in h.neighbors(v)] for v in hv]
 
     cell_of, cells = [0] * (2 * n), [list(range(2 * n))]
-    if not _refine(adj, n, cell_of, cells, deque([0]), {0}):
+    trail: list[tuple[int, int]] = []
+    if not _refine(adj, n, cell_of, cells, deque([0]), {0}, trail):
         return None
     # Depth-first search with an explicit stack, so that deep chains of
-    # individualisations need no recursion.  A frame holds a refined
-    # partition, its branching cell, the pinned g-vertex and the h-vertices
-    # not yet tried.
-    stack: list[tuple[list[int], list[list[int] | None], int, int, Iterator[int]]] = []
+    # individualisations need no recursion.  A frame holds its branching
+    # cell, the pinned g-vertex, the h-vertices not yet tried and the trail
+    # length at which its partition was stable.
+    stack: list[tuple[int, int, Iterator[int], int]] = []
     while True:
         open_cells = [i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2]
         if not open_cells:
             break
         cid = min(open_cells, key=lambda i: (len(cells[i]), i))
         u = min(v for v in cells[cid] if v < n)
-        stack.append((cell_of, cells, cid, u, iter(sorted(v for v in cells[cid] if v >= n))))
+        stack.append((cid, u, iter(sorted(v for v in cells[cid] if v >= n)), len(trail)))
         refined = False
         while not refined:
             if not stack:
                 return None
-            parent_of, parent, cid, u, candidates = stack[-1]
+            cid, u, candidates, mark = stack[-1]
+            _undo(cell_of, cells, trail, mark)
             w = next(candidates, None)
             if w is None:
                 stack.pop()
                 continue
-            cell_of, cells = parent_of[:], parent[:]
             queue: deque[int] = deque()
             queued: set[int] = set()
-            rest = [v for v in parent[cid] if v != u and v != w]
-            _split(n, cell_of, cells, cid, [[u, w], rest], queue, queued)
-            refined = _refine(adj, n, cell_of, cells, queue, queued)
+            rest = [v for v in cells[cid] if v != u and v != w]
+            _split(n, cell_of, cells, cid, [[u, w], rest], queue, queued, trail)
+            refined = _refine(adj, n, cell_of, cells, queue, queued, trail)
     # Every cell is one g-vertex and one h-vertex.  The partition is
     # equitable, so each g-vertex has a neighbour in a cell exactly when its
     # partner has one there: the pairs form an isomorphism.

@@ -35,6 +35,22 @@ def brute_contains_induced(host: Graph, pattern: Graph) -> dict[int, int] | None
     return None
 
 
+def brute_least_induced(host: Graph, pattern: Graph) -> dict[int, int] | None:
+    """The lexicographically least induced embedding: the first image
+    sequence, over pattern vertices in id order, among all permutations of
+    the sorted host vertices."""
+    pv = list(pattern.vertices)
+    for image in itertools.permutations(sorted(host.vertices), len(pv)):
+        mapping = dict(zip(pv, image))
+        if all(
+            pattern.has_edge(a, b) == host.has_edge(mapping[a], mapping[b])
+            for i, a in enumerate(pv)
+            for b in pv[i + 1 :]
+        ):
+            return mapping
+    return None
+
+
 def brute_alpha(g: Graph) -> int:
     best = 0
     vs = list(g.vertices)

@@ -113,3 +113,14 @@ def test_spec_type_is_hashable_value():
 
 def test_realize_is_cached():
     assert realize(parse_spec("P2+P4")) is realize(parse_spec("P2+P4"))
+
+
+def test_parse_spec_is_cached():
+    assert parse_spec("P2+P4") is parse_spec("P2+P4")
+
+
+@pytest.mark.parametrize("bad", ["P2+", "co(P2", "K0"])
+def test_parse_spec_errors_are_not_cached(bad):
+    for _ in range(3):
+        with pytest.raises(SpecSyntaxError):
+            parse_spec(bad)

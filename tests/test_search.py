@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import networkx as nx
 import pytest
 
@@ -6,12 +9,13 @@ from cliquewidth import (
     are_isomorphic,
     build_graph,
     contains_induced,
+    disjoint_union,
     fingerprint,
     is_free,
     realize_text,
 )
 from cliquewidth.constructions import complemented_wall, gi_reduce
-from brute import brute_contains_induced, random_graph
+from brute import brute_contains_induced, brute_least_induced, random_graph
 
 
 def _permuted(g: Graph, rng) -> Graph:
@@ -57,6 +61,42 @@ def test_witness_is_lexicographically_least():
     assert emb.image() == (1, 2)
     emb = contains_induced(host, realize_text("P3"))
     assert emb.image() == (3, 4, 5)
+
+
+# Connected patterns; disconnected ones whose last component in search
+# order has one or two vertices, which the search decides by bitmask alone;
+# and 2P3, whose three-vertex last component is searched.
+LEAST_WITNESS_PATTERNS = [
+    "P3", "C4", "diamond", "K1,3",
+    "P1+P2", "2P2", "P2+P3", "P2+P4", "2P1+P3", "3P1+P2", "P1+P4",
+    "2P3",
+]
+
+
+@pytest.mark.parametrize("spec", LEAST_WITNESS_PATTERNS)
+def test_witness_matches_brute_least(spec):
+    rng = random.Random(f"least-witness-{spec}")
+    pattern = realize_text(spec)
+    hits = 0
+    for _ in range(60):
+        n = rng.randint(pattern.n - 2, 8)
+        ids = sorted(rng.sample(range(12), n))
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        host = Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if rng.random() < p])
+        emb = contains_induced(host, pattern)
+        least = brute_least_induced(host, pattern)
+        assert (emb is None) == (least is None), host.edges()
+        if emb is not None:
+            hits += 1
+            assert emb.as_dict() == least, host.edges()
+    assert hits > 0
+
+
+def test_witness_planted_in_complemented_wall():
+    # The wall is (diamond, P2+P4)-free; one disjoint edge plants a P2+P4.
+    host = disjoint_union(complemented_wall(3).graph, build_graph(2, [(0, 1)]))
+    emb = contains_induced(host, realize_text("P2+P4"))
+    assert emb.mapping == ((0, 68), (1, 69), (2, 0), (3, 1), (4, 2), (5, 33))
 
 
 def test_is_free_examples():
@@ -146,9 +186,17 @@ def test_are_isomorphic_refinement_equivalent_pairs():
 def test_are_isomorphic_deep_search():
     # Refinement cannot split an edgeless graph, so the search pins one
     # pair per level, more levels than the interpreter allows recursion.
+    # Splits are undone from a trail, so the frames hold no copies of the
+    # partition.
     g, h = Graph(range(1100), []), Graph(range(7, 1107), [])
-    emb = are_isomorphic(g, h)
+    tracemalloc.start()
+    try:
+        emb = are_isomorphic(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert emb is not None and emb.validate(h, g)
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize("g", [SHRIKHANDE, ROOK_4X4], ids=["shrikhande", "rook-4x4"])
