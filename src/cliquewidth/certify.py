@@ -23,7 +23,7 @@ from .graphs import (
     prune_degree_one,
     subgraph_complement,
 )
-from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize
+from .namedgraphs import parse_spec, realize
 from .recognition import (
     SizeLimitError,
     alpha,
@@ -205,7 +205,7 @@ def _node_to_obj(node: Node) -> dict:
 _FIELD_KINDS = {
     **dict.fromkeys(("root", "step"), (dict, "an object")),
     **dict.fromkeys(("n", "m", "stated_bound"), (int, "an integer")),
-    **dict.fromkeys(("hash", "op", "justification", "h", "expression"), (str, "a string")),
+    **dict.fromkeys(("hash", "op", "justification", "base", "h", "expression"), (str, "a string")),
     **dict.fromkeys(("vertices", "x", "y"), ([int], "a list of integers")),
     "parts": ([[int]], "a list of integer lists"),
     "children": ([dict], "a list of objects"),
@@ -234,7 +234,9 @@ def _field(obj: dict, key: str, optional: bool = False):
 def _node_from_obj(obj: dict) -> Node:
     if "base" in obj:
         return BaseLeaf(
-            obj["base"], _field(obj, "h", optional=True), _field(obj, "expression", optional=True)
+            _field(obj, "base"),
+            _field(obj, "h", optional=True),
+            _field(obj, "expression", optional=True),
         )
     op = _field(obj, "op")
     children = [_node_from_obj(c) for c in _field(obj, "children")]
@@ -629,13 +631,6 @@ def _close_by_cover(steps: _Steps, cover: list[frozenset[int]]) -> Node:
     return steps.close(terminal)
 
 
-def _split(a: frozenset[int], a_node: Node, b: frozenset[int], b_node: Node) -> Node:
-    """Split into two parts with their nodes, listed by least vertex."""
-    if min(b) < min(a):
-        a, a_node, b, b_node = b, b_node, a, a_node
-    return SplitComponentsStep((tuple(sorted(a)), tuple(sorted(b))), (a_node, b_node))
-
-
 def reduce_by_clique_cover(
     g: Graph, cover: list[frozenset[int] | set[int]]
 ) -> Certificate | FreenessWitness:
@@ -749,7 +744,14 @@ def clique_or_independence_branch(g: Graph, s: int, t: int) -> Branch:
 
 
 # ---------------------------------------------------------------------------
-# Shared cycle-neighbourhood helpers for the theorem certifiers.
+# Lemma steps shared by the theorem certifiers.
+#
+# Each certifier branch works around an induced cycle.  ``_cycle_classes``
+# groups the off-cycle vertices of a working graph by the set of cycle
+# vertices each one sees, so every class the lemmas name is one lookup.  A
+# step that several branches take is written once here, and each deletion
+# justification has one call site; only ``cycle-vertices`` is deleted by
+# every cycle branch on its own.
 # ---------------------------------------------------------------------------
 
 def _cycle_pairs(cyc: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -778,13 +780,112 @@ def _assert_independent(g: Graph, vs: set[int] | frozenset[int], what: str) -> N
                 raise _contradiction(f"{what} is not independent ({u} ~ {v})")
 
 
-def _cycle_neighbour_sets(g: Graph, cyc: tuple[int, ...]) -> dict[int, frozenset[int]]:
+def _cycle_classes(g: Graph, cyc: tuple[int, ...]) -> dict[frozenset[int], set[int]]:
+    """The off-cycle vertices of ``g`` grouped by the set of cycle vertices
+    each one sees; only non-empty classes are keys."""
+    on_cycle = frozenset(cyc)
+    classes: dict[frozenset[int], set[int]] = {}
+    for v in g.vertices:
+        if v not in on_cycle:
+            classes.setdefault(g.neighbors(v) & on_cycle, set()).add(v)
+    return classes
+
+
+def _seeing(classes: dict[frozenset[int], set[int]], *seen: int) -> set[int]:
+    """The class of the vertices that see exactly the cycle vertices ``seen``."""
+    return classes.get(frozenset(seen), set())
+
+
+def _split(work: Graph, a: frozenset[int], a_node: Node, b: frozenset[int], b_node: Node) -> Node:
+    """Split ``work`` into parts ``a`` and ``b`` with their nodes, listed by
+    least vertex; no edge of ``work`` may cross."""
+    for u, v in work.edges():
+        if (u in a) != (v in a):
+            raise _contradiction(f"edge ({u},{v}) crosses a component split")
+    if min(b) < min(a):
+        a, a_node, b, b_node = b, b_node, a, a_node
+    return SplitComponentsStep((tuple(sorted(a)), tuple(sorted(b))), (a_node, b_node))
+
+
+def _delete_nonconsecutive_common_neighbours(
+    steps: _Steps, cyc: tuple[int, ...], per_pair: int
+) -> None:
+    """Delete the common neighbours of every non-consecutive cycle pair: at
+    most ``per_pair`` for each pair, and independent, as two adjacent ones
+    would form a diamond with the pair."""
+    _, non_consecutive = _cycle_pairs(cyc)
+    work, on_cycle = steps.work, set(cyc)
+    doomed: set[int] = set()
+    for a, b in non_consecutive:
+        common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
+        _assert_independent(work, common, "a non-consecutive common neighbourhood")
+        if len(common) > per_pair:
+            raise _contradiction(
+                f"a non-consecutive cycle pair has over {per_pair} common neighbours"
+            )
+        doomed |= common
+    if doomed:
+        steps.delete(
+            doomed,
+            "common-neighbours-of-nonconsecutive-cycle-pair",
+            per_pair * len(non_consecutive),
+        )
+
+
+def _consecutive_cover(
+    work: Graph, cyc: tuple[int, ...], isolated_joins_first: bool
+) -> list[frozenset[int]]:
+    """Clique cover of the off-cycle vertices once none sees a
+    non-consecutive cycle pair: one class per consecutive pair, one per
+    cycle vertex seen alone, and the vertices that see none, which with
+    ``isolated_joins_first`` join the class of ``cyc[0]``."""
+    classes = _cycle_classes(work, cyc)
+    consecutive, _ = _cycle_pairs(cyc)
+    seen = [frozenset(p) for p in consecutive] + [frozenset((a,)) for a in cyc]
+    seen.append(frozenset())
+    if not classes.keys() <= set(seen):
+        raise _contradiction("a vertex sees non-consecutive cycle vertices")
+    parts = [classes.get(s, set()) for s in seen]
+    if isolated_joins_first:
+        parts[len(cyc)] = parts[len(cyc)] | parts.pop()
+    for part in parts:
+        _assert_clique(work, part, "a cycle-neighbourhood class")
+    return [frozenset(p) for p in parts if p]
+
+
+def _delete_consecutive_common_neighbours(steps: _Steps, cyc: tuple[int, ...]) -> None:
+    """Per consecutive cycle pair, delete their common neighbourhood (a
+    clique of at most four vertices when K5-free)."""
+    consecutive, _ = _cycle_pairs(cyc)
     on_cycle = set(cyc)
-    return {
-        v: frozenset(g.neighbors(v) & on_cycle)
-        for v in g.vertices
-        if v not in on_cycle
-    }
+    for a, b in consecutive:
+        work = steps.work
+        common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
+        if not common:
+            continue
+        _assert_clique(work, common, "a consecutive-pair common neighbourhood")
+        if len(common) > 4:
+            raise _contradiction("consecutive-pair neighbourhood beats the K5 bound")
+        steps.delete(common, "consecutive-pair-common-neighbours", 4)
+
+
+def _c4_classes(
+    work: Graph, order: tuple[int, ...]
+) -> tuple[dict[int, set[int]], dict[int, set[int]], set[int]]:
+    """Pendant classes ``W[i]`` (seeing ``order[i - 1]`` only), opposite-pair
+    classes ``V[1]`` (seeing ``order[1]`` and ``order[3]``) and ``V[2]``
+    (``order[0]`` and ``order[2]``), and the class that sees no vertex of
+    the C4 ``order``, once no vertex sees a consecutive pair."""
+    classes = _cycle_classes(work, order)
+    if any(len(seen) >= 3 for seen in classes):
+        raise _contradiction("a vertex sees three vertices of the C4")
+    consecutive, _ = _cycle_pairs(order)
+    if any(frozenset(p) in classes for p in consecutive):
+        raise _contradiction("a consecutive-pair neighbour survived deletion")
+    a1, a2, a3, a4 = order
+    w_sets = {i: _seeing(classes, order[i - 1]) for i in (1, 2, 3, 4)}
+    v_sets = {1: _seeing(classes, a2, a4), 2: _seeing(classes, a1, a3)}
+    return w_sets, v_sets, _seeing(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -804,40 +905,10 @@ def certify_diamond_3p1p2(g: Graph, desk_limit: int = DESK_LIMIT) -> Certificate
     cyc = find_induced_cycle(g, 5) or find_induced_cycle(g, 7)
     steps = _Steps(g)
     if cyc is not None:
-        k = len(cyc)
-        _, non_consecutive = _cycle_pairs(cyc)
-        on_cycle = set(cyc)
-        doomed: set[int] = set()
-        for a, b in non_consecutive:
-            common = (g.neighbors(a) & g.neighbors(b)) - on_cycle
-            _assert_independent(g, common, "a non-consecutive common neighbourhood")
-            if len(common) > 9:
-                raise _contradiction("common neighbourhood beats the independence bound")
-            doomed |= common
-        if doomed:
-            steps.delete(
-                doomed,
-                "common-neighbours-of-nonconsecutive-cycle-pair",
-                45 if k == 5 else 126,
-            )
+        _delete_nonconsecutive_common_neighbours(steps, cyc, 9)
         # Survivors see at most two, necessarily consecutive, cycle vertices.
-        nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
-        consecutive, _ = _cycle_pairs(cyc)
-        cover_sets: list[set[int]] = []
-        for a, b in consecutive:
-            cover_sets.append({v for v, ns in nbr_sets.items() if ns == {a, b}})
-        for a in cyc:
-            cover_sets.append({v for v, ns in nbr_sets.items() if ns == {a}})
-        cover_sets.append({v for v, ns in nbr_sets.items() if not ns})
-        classified = set().union(*cover_sets) if cover_sets else set()
-        if classified != set(nbr_sets):
-            raise _contradiction("a vertex sees non-consecutive cycle vertices")
-        for part in cover_sets:
-            _assert_clique(steps.work, part, "a cycle-neighbourhood class")
-        steps.delete(on_cycle, "cycle-vertices", k)
-        cover = [frozenset(p) for p in cover_sets if p]
-        if len(cover) > 2 * k + 1:
-            raise _contradiction("clique cover exceeds the stated size")
+        cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=False)
+        steps.delete(cyc, "cycle-vertices", len(cyc))
     else:
         # No induced C5 or C7 anywhere: the graph is perfect at desk scale,
         # so a minimum clique cover has alpha-many parts.
@@ -884,28 +955,17 @@ def certify_diamond_2p1p3(g: Graph) -> Certificate:
 
 def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     v1, v2, v3, v4 = cyc
-    nbr_sets = _cycle_neighbour_sets(g, cyc)
-    if any(len(ns) >= 3 for ns in nbr_sets.values()):
+    classes = _cycle_classes(g, cyc)
+    if any(len(seen) >= 3 for seen in classes):
         raise _contradiction("a vertex sees three vertices of an induced C4")
 
-    x_set = {v for v, ns in nbr_sets.items() if not ns}
-    w = {
-        a: {v for v, ns in nbr_sets.items() if ns == {a}}
-        for a in (v1, v2, v3, v4)
-    }
-    v_opp = {
-        1: {v for v, ns in nbr_sets.items() if ns == {v2, v4}},
-        2: {v for v, ns in nbr_sets.items() if ns == {v1, v3}},
-    }
-    y = {
-        (a, b): {v for v, ns in nbr_sets.items() if ns == {a, b}}
-        for a, b in ((v1, v2), (v2, v3), (v3, v4), (v4, v1))
-    }
-
-    cliques = [x_set | w[v1], w[v2], w[v3], w[v4], *y.values()]
+    consecutive, _ = _cycle_pairs(cyc)
+    cliques = [_seeing(classes) | _seeing(classes, v1)]
+    cliques += [_seeing(classes, a) for a in (v2, v3, v4)]
+    cliques += [_seeing(classes, a, b) for a, b in consecutive]
     for part in cliques:
         _assert_clique(g, part, "a C4 neighbourhood class")
-    indeps = [v_opp[1], v_opp[2]]
+    indeps = [_seeing(classes, v2, v4), _seeing(classes, v1, v3)]
     for part in indeps:
         _assert_independent(g, part, "an opposite-pair class")
 
@@ -926,17 +986,14 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     steps.delete(cyc, "cycle-vertices", 4)
     work = steps.work
 
-    bip_part = frozenset((v_opp[1] | v_opp[2]) - separators)
+    bip_part = frozenset((indeps[0] | indeps[1]) - separators)
     clique_part = frozenset(work.vertices) - bip_part
     cover = [frozenset(p - separators) for p in cliques if p - separators]
 
     if bip_part and clique_part:
-        for u, v in work.edges():
-            if (u in bip_part) != (v in bip_part):
-                raise _contradiction("separators missed a clique-independent edge")
         clique_node = _close_by_cover(_Steps(induced_subgraph(work, clique_part)), cover)
         return steps.close(
-            _split(clique_part, clique_node, bip_part, BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
+            _split(work, clique_part, clique_node, bip_part, BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
         )
     if bip_part:
         return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
@@ -944,45 +1001,13 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
 
 
 def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
-    k = len(cyc)
-    _, non_consecutive = _cycle_pairs(cyc)
-    on_cycle = set(cyc)
-    doomed: set[int] = set()
-    for a, b in non_consecutive:
-        common = (g.neighbors(a) & g.neighbors(b)) - on_cycle
-        if len(common) > 1:
-            raise _contradiction(
-                "two vertices share a non-consecutive cycle pair"
-            )
-        doomed |= common
     steps = _Steps(g)
-    if doomed:
-        steps.delete(
-            doomed, "common-neighbours-of-nonconsecutive-cycle-pair", k * (k - 3) // 2
-        )
-
-    nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
-    consecutive, _ = _cycle_pairs(cyc)
-    cover_sets: list[set[int]] = []
-    for a, b in consecutive:
-        cover_sets.append({v for v, ns in nbr_sets.items() if ns == {a, b}})
-    singles_or_empty = [{v for v, ns in nbr_sets.items() if ns == {a}} for a in cyc]
-    x_set = {v for v, ns in nbr_sets.items() if not ns}
-    # The isolated class joins the first single-neighbour class: together
-    # they form one clique.
-    merged_first = singles_or_empty[0] | x_set
-    cover_sets.append(merged_first)
-    cover_sets.extend(singles_or_empty[1:])
-    classified = set().union(*cover_sets) if cover_sets else set()
-    if classified != set(nbr_sets):
-        raise _contradiction("a vertex sees a non-consecutive cycle pair after deletion")
-    for part in cover_sets:
-        _assert_clique(steps.work, part, "a long-cycle neighbourhood class")
-    if sum(1 for p in cover_sets if p) > 2 * k:
-        raise _contradiction("clique cover exceeds 2k parts")
-
-    steps.delete(on_cycle, "cycle-vertices", k)
-    return _close_by_cover(steps, [frozenset(p) for p in cover_sets if p])
+    _delete_nonconsecutive_common_neighbours(steps, cyc, 1)
+    # The vertices that see no cycle vertex and those that see cyc[0] alone
+    # form one clique.
+    cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=True)
+    steps.delete(cyc, "cycle-vertices", len(cyc))
+    return _close_by_cover(steps, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,46 +1072,25 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
     return steps.close(BaseLeaf(DISJOINT_CLIQUES))
 
 
-def _delete_consecutive_common_neighbours(steps: _Steps, cyc: tuple[int, ...]) -> None:
-    """Per consecutive cycle pair, delete their common neighbourhood (a
-    clique of at most four vertices when K5-free)."""
-    consecutive, _ = _cycle_pairs(cyc)
-    on_cycle = set(cyc)
-    for a, b in consecutive:
-        work = steps.work
-        common = (work.neighbors(a) & work.neighbors(b)) - on_cycle
-        if not common:
-            continue
-        _assert_clique(work, common, "a consecutive-pair common neighbourhood")
-        if len(common) > 4:
-            raise _contradiction("consecutive-pair neighbourhood beats the K5 bound")
-        steps.delete(common, "consecutive-pair-common-neighbours", 4)
-
-
 def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
     steps = _Steps(g)
     _delete_consecutive_common_neighbours(steps, cyc)
 
-    nbr_sets = _cycle_neighbour_sets(steps.work, cyc)
-    if any(len(ns) >= 3 for ns in nbr_sets.values()):
+    # Every pair of C5 vertices is consecutive or at distance two, so the
+    # vertices left see one cycle vertex, a distance-two pair, or none.
+    classes = _cycle_classes(steps.work, cyc)
+    if any(len(seen) >= 3 for seen in classes):
         raise _contradiction("a vertex still sees three cycle vertices")
-    singles = {v for v, ns in nbr_sets.items() if len(ns) == 1}
-    for a in cyc:
-        if sum(1 for v in singles if nbr_sets[v] == {a}) > 1:
-            raise _contradiction("two vertices hang off one cycle vertex")
+    singles = [vs for seen, vs in classes.items() if len(seen) == 1]
+    if any(len(vs) > 1 for vs in singles):
+        raise _contradiction("two vertices hang off one cycle vertex")
     if singles:
-        steps.delete(singles, "single-cycle-neighbour-vertices", 5)
+        steps.delete(set().union(*singles), "single-cycle-neighbour-vertices", 5)
 
     work = steps.work
-    nbr_sets = _cycle_neighbour_sets(work, cyc)
     k = len(cyc)
-    v_sets = []
-    for i in range(k):
-        around = {cyc[(i - 1) % k], cyc[(i + 1) % k]}
-        v_sets.append({v for v, ns in nbr_sets.items() if ns == around})
-    x_set = {v for v, ns in nbr_sets.items() if not ns}
-    if set().union(x_set, *v_sets) != set(nbr_sets):
-        raise _contradiction("an unclassified vertex survived around the C5")
+    v_sets = [_seeing(classes, cyc[i - 1], cyc[(i + 1) % k]) for i in range(k)]
+    x_set = _seeing(classes)
     for part in v_sets:
         _assert_independent(work, part, "a distance-two class")
     _assert_independent(work, x_set, "the cycle-free class")
@@ -1109,54 +1113,19 @@ def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
 def _certify_p2p3_with_c6(g: Graph, cyc: tuple[int, ...]) -> Node:
     steps = _Steps(g)
     _delete_consecutive_common_neighbours(steps, cyc)
-
-    _, non_consecutive = _cycle_pairs(cyc)
-    on_cycle = set(cyc)
-    doomed: set[int] = set()
-    for a, b in non_consecutive:
-        common = (steps.work.neighbors(a) & steps.work.neighbors(b)) - on_cycle
-        if len(common) > 1:
-            raise _contradiction("two vertices share a non-consecutive C6 pair")
-        doomed |= common
-    if doomed:
-        steps.delete(doomed, "common-neighbours-of-nonconsecutive-cycle-pair", 9)
-
-    work = steps.work
-    nbr_sets = _cycle_neighbour_sets(work, cyc)
-    if any(ns for ns in nbr_sets.values()):
+    _delete_nonconsecutive_common_neighbours(steps, cyc, 1)
+    # What is left is the C6 and isolated vertices.
+    classes = _cycle_classes(steps.work, cyc)
+    if classes.keys() - {frozenset()}:
         raise _contradiction("an off-cycle vertex still touches the C6")
-    off = sorted(nbr_sets)
-    for i, u in enumerate(off):
-        for v in off[i + 1 :]:
-            if work.has_edge(u, v):
-                raise _contradiction("two off-cycle vertices are adjacent")
-    if work.max_degree() > 2:
-        raise _contradiction("C6 remainder kept degree above 2")
+    _assert_independent(steps.work, _seeing(classes), "the off-cycle class")
     return steps.close(BaseLeaf(MAX_DEGREE_2))
 
 
 def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     steps = _Steps(g)
     _delete_consecutive_common_neighbours(steps, cyc)
-
-    def classify(cur: Graph, order: tuple[int, ...]):
-        nbr_sets = _cycle_neighbour_sets(cur, order)
-        if any(len(ns) >= 3 for ns in nbr_sets.values()):
-            raise _contradiction("a vertex sees three vertices of the C4")
-        a1, a2, a3, a4 = order
-        for v, ns in nbr_sets.items():
-            if len(ns) == 2 and ns in ({a1, a2}, {a2, a3}, {a3, a4}, {a4, a1}):
-                raise _contradiction("a consecutive-pair neighbour survived deletion")
-        w_sets = {i: {v for v, ns in nbr_sets.items() if ns == {order[i - 1]}} for i in (1, 2, 3, 4)}
-        v_sets = {
-            1: {v for v, ns in nbr_sets.items() if ns == {a2, a4}},
-            2: {v for v, ns in nbr_sets.items() if ns == {a1, a3}},
-        }
-        x_set = {v for v, ns in nbr_sets.items() if not ns}
-        return w_sets, v_sets, x_set
-
-    order = cyc
-    w_sets, v_sets, x_set = classify(steps.work, order)
+    w_sets, _, _ = _c4_classes(steps.work, cyc)
 
     # Opposite pendant classes cannot both be populated; when they are, each
     # holds a single vertex and both go.
@@ -1172,10 +1141,9 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
         (v1, v4, v3, v2), (v4, v3, v2, v1), (v3, v2, v1, v4), (v2, v1, v4, v3),
     ]
     work = steps.work
-    for cand in candidates:
-        w_sets, v_sets, x_set = classify(work, cand)
+    for order in candidates:
+        w_sets, v_sets, x_set = _c4_classes(work, order)
         if not w_sets[3] and not w_sets[4]:
-            order = cand
             break
     else:
         raise _contradiction("no cycle labelling clears both far pendant classes")
@@ -1207,12 +1175,9 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     work = steps.work
     star_part = frozenset(star[1] | star[2])
     rest_part = frozenset(work.vertices) - star_part
-    for u, v in work.edges():
-        if (u in star_part) != (v in star_part):
-            raise _contradiction("crossing pendants stayed attached after complementation")
     rest_node = _certify_p2p3_c4_core(induced_subgraph(work, rest_part), order)
     return steps.close(
-        _split(rest_part, rest_node, star_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
+        _split(work, rest_part, rest_node, star_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
     )
 
 
@@ -1220,25 +1185,17 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     """The C4 decomposition after pendant classes 3, 4 and the crossing
     pendants have been cleared."""
     steps = _Steps(work)
-    a1, a2, a3, a4 = order
-    nbr_sets = _cycle_neighbour_sets(work, order)
-    w_sets = {i: {v for v, ns in nbr_sets.items() if ns == {order[i - 1]}} for i in (1, 2)}
-    v_sets = {
-        1: {v for v, ns in nbr_sets.items() if ns == {a2, a4}},
-        2: {v for v, ns in nbr_sets.items() if ns == {a1, a3}},
-    }
-    x_set = {v for v, ns in nbr_sets.items() if not ns}
+    w_sets, v_sets, x_set = _c4_classes(work, order)
 
     isolated = {
         x for x in x_set if not (work.neighbors(x) & (v_sets[1] | v_sets[2]))
     }
     if isolated:
-        for x in isolated:
-            if work.neighbors(x):
-                raise _contradiction("a supposedly isolated vertex keeps neighbours")
         main_part = frozenset(work.vertices) - isolated
         main_node = _certify_p2p3_c4_core(induced_subgraph(work, main_part), order)
-        return _split(main_part, main_node, frozenset(isolated), BaseLeaf(DISJOINT_CLIQUES))
+        return _split(
+            work, main_part, main_node, frozenset(isolated), BaseLeaf(DISJOINT_CLIQUES)
+        )
 
     x0 = {
         x
@@ -1324,9 +1281,6 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
 
     tree_part = frozenset(pend[1] | pend[2] | v1p | v2p | x0)
     rest_part = frozenset(work.vertices) - tree_part
-    for u, v in work.edges():
-        if (u in tree_part) != (v in tree_part):
-            raise _contradiction("the tree part stayed attached to the remainder")
 
     def tree_terminal(sub: Graph) -> Node:
         inner = _Steps(sub)
@@ -1339,13 +1293,13 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     if rest_part:
         tree_node = tree_terminal(induced_subgraph(work, tree_part))
         return steps.close(
-            _split(tree_part, tree_node, rest_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
+            _split(work, tree_part, tree_node, rest_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
         )
     return steps.close(tree_terminal(work))
 
 
 # ---------------------------------------------------------------------------
-# Pair classification and normalisation.
+# Pair classification.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1362,57 +1316,3 @@ def classify_pair(s: int, t: int) -> PairStatus:
         raise ValueError("s and t must be non-negative")
     bounded = s <= 1 or t <= 1 or s + t <= 5
     return PairStatus(s, t, "Bounded" if bounded else "Unbounded")
-
-
-def _complement_spec(spec: NamedGraphSpec) -> NamedGraphSpec:
-    from .namedgraphs import ComplementOf
-
-    if len(spec.terms) == 1 and spec.terms[0][0] == 1 and isinstance(
-        spec.terms[0][1], ComplementOf
-    ):
-        return spec.terms[0][1].inner
-    return NamedGraphSpec(((1, ComplementOf(spec)),))
-
-
-def normalize_pair(
-    h1: NamedGraphSpec | str, h2: NamedGraphSpec | str
-) -> tuple[str, str]:
-    """Canonical representative of a forbidden pair's equivalence class.
-
-    Two pairs are equivalent when one arises from the other by complementing
-    both graphs, or by swapping a triangle with co(P1+P3) (adding or removing
-    a dominating vertex of the complement).  The representative is the
-    lexicographically least printed pair over the orbit.
-    """
-    from .search import are_isomorphic as iso
-
-    def as_spec(h: NamedGraphSpec | str) -> NamedGraphSpec:
-        return h if isinstance(h, NamedGraphSpec) else parse_spec(h)
-
-    k3 = realize(parse_spec("K3"))
-    paw = realize(parse_spec("co(P1+P3)"))
-
-    def pair_key(a: NamedGraphSpec, b: NamedGraphSpec) -> tuple[str, str]:
-        pa, pb = print_spec(a), print_spec(b)
-        return (pa, pb) if pa <= pb else (pb, pa)
-
-    start = (as_spec(h1), as_spec(h2))
-    seen: dict[tuple[str, str], tuple[NamedGraphSpec, NamedGraphSpec]] = {
-        pair_key(*start): start
-    }
-    frontier = [start]
-    while frontier:
-        a, b = frontier.pop()
-        nexts = [(_complement_spec(a), _complement_spec(b))]
-        for left, right in ((a, b), (b, a)):
-            g_left = realize(left)
-            if iso(g_left, k3) is not None:
-                nexts.append((parse_spec("co(P1+P3)"), right))
-            if iso(g_left, paw) is not None:
-                nexts.append((parse_spec("K3"), right))
-        for cand in nexts:
-            key = pair_key(*cand)
-            if key not in seen:
-                seen[key] = cand
-                frontier.append(cand)
-    return min(seen)

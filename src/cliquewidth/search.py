@@ -17,7 +17,6 @@ undone from a trail (McKay & Piperno, *Practical graph isomorphism II*,
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_adjacency
@@ -354,26 +353,30 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
         return None
     # Depth-first search with an explicit stack, so that deep chains of
     # individualisations need no recursion.  A frame holds its branching
-    # cell, the pinned g-vertex, the h-vertices not yet tried and the trail
-    # length at which its partition was stable.
-    stack: list[tuple[int, int, Iterator[int], int]] = []
+    # cell, the pinned g-vertex, the last h-vertex tried and the trail
+    # length at which its partition was stable.  Undoing to that length
+    # restores the cell, so the next candidate is its least h-vertex above
+    # the last one tried: candidates come in ascending order, and a frame
+    # holds no list of them.
+    stack: list[tuple[int, int, int, int]] = []
     while True:
         open_cells = [i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2]
         if not open_cells:
             break
         cid = min(open_cells, key=lambda i: (len(cells[i]), i))
         u = min(v for v in cells[cid] if v < n)
-        stack.append((cid, u, iter(sorted(v for v in cells[cid] if v >= n)), len(trail)))
+        stack.append((cid, u, n - 1, len(trail)))
         refined = False
         while not refined:
             if not stack:
                 return None
-            cid, u, candidates, mark = stack[-1]
+            cid, u, last, mark = stack[-1]
             _undo(cell_of, cells, trail, mark)
-            w = next(candidates, None)
+            w = min((v for v in cells[cid] if v > last), default=None)
             if w is None:
                 stack.pop()
                 continue
+            stack[-1] = (cid, u, w, mark)
             queue: deque[int] = deque()
             queued: set[int] = set()
             rest = [v for v in cells[cid] if v != u and v != w]

@@ -169,8 +169,9 @@ def test_construct_output_feeds_graph_commands(tmp_path, capsys):
             "stated_bound": "1",
             "children": [{"base": "disjoint_cliques"}],
         },
+        {"base": 5},
     ],
-    ids=["children-not-a-list", "string-stated-bound"],
+    ids=["children-not-a-list", "string-stated-bound", "integer-leaf-base"],
 )
 def test_verify_certificate_malformed(tmp_path, capsys, step):
     c5 = write_graph(tmp_path, "c5.el", "C5")
