@@ -1066,7 +1066,18 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
         return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P2"))
     attached = [x for x in x_clique if any(v in outside for v in work.neighbors(x))]
     if len(attached) > 2:
-        raise _contradiction("three clique vertices keep outside neighbours")
+        # Components that never touch the clique split off as cliques; the
+        # clique with the one component that touches it complements as in
+        # the one-component case.
+        touching = [c for c in comps if any(work.neighbors(v) & x_clique for v in c)]
+        if len(touching) > 1:
+            raise _contradiction("three clique vertices keep outside neighbours")
+        core = frozenset(x_clique | touching[0])
+        core_steps = _Steps(induced_subgraph(work, core))
+        core_steps.complement(core)
+        core_node = core_steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P2"))
+        detached = frozenset(work.vertices) - core
+        return steps.close(_split(work, core, core_node, detached, BaseLeaf(DISJOINT_CLIQUES)))
     if attached:
         steps.delete(attached, "clique-vertices-with-outside-neighbours", 2)
     return steps.close(BaseLeaf(DISJOINT_CLIQUES))

@@ -23,6 +23,16 @@ two states on disjoint subsets are combined by disjoint union (same-label
 classes of the two operands fuse, which is expressed by a partial matching
 between their classes), forced joins are applied, and renames merge classes
 whose members agree on their neighbourhood outside S.
+
+Decomposition.  Clique-width survives substitution: the width of Q[M1..Mk]
+is the maximum of the widths of Q and of the Mi (Courcelle & Olariu, *Upper
+bounds to the clique width of graphs*, 2000).  So before searching, the
+solver looks for a nontrivial module M, solves G[M] and the quotient G/M
+(M contracted to its least vertex) apart, and composes the witnesses: the
+representative's Create(l) leaf becomes the module's expression followed by
+renames of its labels onto l.  Only prime graphs and graphs on at most two
+vertices reach the subset search; a disjoint union or a join of smaller
+graphs is never searched whole.
 """
 from __future__ import annotations
 
@@ -292,13 +302,20 @@ def _search(masks: list[int], n: int, k: int):
     def union_products(p1: tuple, p2: tuple, s1: int, s2: int, s: int):
         c1, c2 = list(p1), list(p2)
         p, q = len(c1), len(c2)
-        if max(p, q) > k:
+        # Only classes with equal outside signatures can fuse, so at most
+        # the multiset intersection of the two signature lists fuses.
+        sig1 = [sig(c, s) for c in c1]
+        sig2 = [sig(c, s) for c in c2]
+        unmatched = list(sig2)
+        fusable = 0
+        for x in sig1:
+            if x in unmatched:
+                unmatched.remove(x)
+                fusable += 1
+        if p + q - fusable > k:
             return
         compat = [
-            [
-                sig(c1[i], s) == sig(c2[j], s) and (or_mask(c1[i]) & c2[j]) == 0
-                for j in range(q)
-            ]
+            [sig1[i] == sig2[j] and (or_mask(c1[i]) & c2[j]) == 0 for j in range(q)]
             for i in range(p)
         ]
 
@@ -399,10 +416,15 @@ def _search(masks: list[int], n: int, k: int):
     return None
 
 
-def _reconstruct(goal_key, states, or_mask, k: int) -> KExpression:
+def _reconstruct(goal_key, states, or_mask, k: int) -> tuple[KExpression, list[int]]:
+    """The witness expression of a reached goal, and the vertex each of its
+    Create leaves stands for, in left-to-right order."""
+    leaves: list[int] = []
+
     def build(s: int, part: tuple) -> tuple[KExpression, dict[int, int]]:
         record = states[s][part]
         if record[0] == "create":
+            leaves.append(record[1])
             return Create(1), {part[0]: 1}
         if record[0] == "merge":
             _, parent, a, b = record
@@ -454,7 +476,116 @@ def _reconstruct(goal_key, states, or_mask, k: int) -> KExpression:
         return e, out
 
     expr, _ = build(*goal_key)
-    return expr
+    return expr, leaves
+
+
+def _module(masks: list[int], n: int) -> int:
+    """A module M with 1 < |M| < n, as a bitmask, or 0 when there is none.
+
+    Grows each vertex pair by its splitters (vertices outside that see some
+    but not all of it) until none is left; the first pair whose closure
+    misses a vertex gives M.
+    """
+    full = (1 << n) - 1
+    for u in range(n):
+        for v in range(u + 1, n):
+            m = 1 << u | 1 << v
+            some, every = masks[u] | masks[v], masks[u] & masks[v]
+            split = some & ~every & ~m
+            while split:
+                m |= split
+                while split:
+                    low = split & -split
+                    split ^= low
+                    w = masks[low.bit_length() - 1]
+                    some |= w
+                    every &= w
+                split = some & ~every & ~m
+            if m != full:
+                return m
+    return 0
+
+
+def _induced_masks(masks: list[int], verts: list[int]) -> list[int]:
+    """Neighbour bitmasks of the subgraph induced on ``verts``, indexed by
+    position in ``verts``."""
+    out = []
+    for v in verts:
+        m = 0
+        for i, w in enumerate(verts):
+            if masks[v] >> w & 1:
+                m |= 1 << i
+        out.append(m)
+    return out
+
+
+def _root_labels(e: KExpression) -> set[int]:
+    """Labels carried by some vertex at the root of the expression."""
+    if isinstance(e, Create):
+        return {e.label}
+    if isinstance(e, Union):
+        return _root_labels(e.left) | _root_labels(e.right)
+    below = _root_labels(e.child)
+    if isinstance(e, Rename) and e.i in below:
+        return (below - {e.i}) | {e.j}
+    return below
+
+
+def _substitute_leaf(e: KExpression, pos: int, piece: KExpression) -> KExpression:
+    """Replace the pos-th Create leaf of ``e`` (left to right) by ``piece``
+    with every root label of ``piece`` renamed onto that leaf's label."""
+    seen = [0]
+
+    def rec(node: KExpression) -> KExpression:
+        if isinstance(node, Create):
+            seen[0] += 1
+            if seen[0] != pos + 1:
+                return node
+            out = piece
+            for label in sorted(_root_labels(piece) - {node.label}):
+                out = Rename(label, node.label, out)
+            return out
+        if isinstance(node, Union):
+            return Union(rec(node.left), rec(node.right))
+        return type(node)(node.i, node.j, rec(node.child))
+
+    return rec(e)
+
+
+def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list[int]] | None:
+    """Least width k <= k_max of the graph on vertices 0..n-1, a witness of
+    width k, and the vertex of each of its Create leaves, left to right.
+
+    A nontrivial module M is solved apart from the quotient G/M, in which M
+    is contracted to min(M); the width is the larger of the two, and the
+    witness substitutes the module's expression for the representative's
+    leaf.  Only prime graphs and graphs on at most 2 vertices are searched.
+    """
+    module = _module(masks, n)
+    if module:
+        inside = [v for v in range(n) if module >> v & 1]
+        outside = [v for v in range(n) if v == inside[0] or not module >> v & 1]
+        sub = _solve(_induced_masks(masks, inside), len(inside), k_max)
+        if sub is None:
+            return None
+        quo = _solve(_induced_masks(masks, outside), len(outside), k_max)
+        if quo is None:
+            return None
+        k_sub, e_sub, leaves_sub = sub
+        k_quo, e_quo, leaves_quo = quo
+        pos = leaves_quo.index(outside.index(inside[0]))
+        expr = _substitute_leaf(e_quo, pos, e_sub)
+        leaves = (
+            [outside[v] for v in leaves_quo[:pos]]
+            + [inside[v] for v in leaves_sub]
+            + [outside[v] for v in leaves_quo[pos + 1 :]]
+        )
+        return max(k_sub, k_quo), expr, leaves
+    for k in range(1, k_max + 1):
+        found = _search(masks, n, k)
+        if found is not None:
+            return k, *_reconstruct(*found, k)
+    return None
 
 
 def clique_width_exact(
@@ -472,19 +603,15 @@ def clique_width_exact(
     if g.n == 0:
         return 0, None
     _, _, masks = bit_adjacency(g)
-    for k in range(1, k_max + 1):
-        found = _search(masks, g.n, k)
-        if found is not None:
-            goal_key, states, or_mask = found
-            expr = _reconstruct(goal_key, states, or_mask, k)
-            if width(expr) != k:
-                raise AssertionError(
-                    f"reconstructed width {width(expr)} != solver width {k}"
-                )
-            if not verify_expression(expr, g):
-                raise AssertionError("reconstructed expression failed verification")
-            return k, expr
-    return None
+    solved = _solve(masks, g.n, k_max)
+    if solved is None:
+        return None
+    k, expr, _ = solved
+    if width(expr) != k:
+        raise AssertionError(f"reconstructed width {width(expr)} != solver width {k}")
+    if not verify_expression(expr, g):
+        raise AssertionError("reconstructed expression failed verification")
+    return k, expr
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,17 @@ def two_core(g: Graph) -> frozenset[int]:
                 alive.remove(v)
                 changed = True
     return frozenset(alive)
+
+
+def brute_has_module(g: Graph) -> bool:
+    """Some vertex subset S with 1 < |S| < n that no outside vertex splits:
+    every vertex outside S sees all of S or none of it."""
+    vs = list(g.vertices)
+    for r in range(2, len(vs)):
+        for subset in itertools.combinations(vs, r):
+            inside = set(subset)
+            if all(
+                len(g.neighbors(z) & inside) in (0, r) for z in vs if z not in inside
+            ):
+                return True
+    return False

@@ -12,6 +12,7 @@ from cliquewidth import (
     clique_width_exact,
     is_free,
     realize_text,
+    to_edge_list_text,
 )
 import cliquewidth.certify as certify_module
 from cliquewidth.certify import (
@@ -40,6 +41,7 @@ from cliquewidth.certify import (
     reduce_by_clique_cover,
     verify_certificate,
 )
+from cliquewidth.cli import main
 from conftest import sample_members
 
 
@@ -398,6 +400,21 @@ def test_certify_p2p3_c4_with_double_attachment():
         "disjoint_cliques",
     }
     assert any(leaf.kind == "forest" for leaf, _ in result.leaves)
+
+
+def test_certify_p2p3_k5_with_detached_component(tmp_path, capsys):
+    # K5 on {3,5,6,7,8}, the triangle {0,1,4} matched to 3, 8 and 6, and an
+    # isolated vertex 2 that touches no clique vertex.
+    edges = [(0, 1), (0, 4), (0, 8), (1, 3), (1, 4), (3, 5), (3, 6), (3, 7), (3, 8)]
+    edges += [(4, 6), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+    g = build_graph(9, edges)
+    assert is_free(g, ["diamond", "P2+P3"])[0]
+    cert = certify_diamond_p2p3(g)
+    assert verify_certificate(g, cert).ok
+    path = tmp_path / "g.el"
+    path.write_text(to_edge_list_text(g))
+    assert main(["certify", str(path), "P2+P3"]) == 0
+    capsys.readouterr()
 
 
 def test_certifiers_reject_non_members():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import cliquewidth.kexpr as kexpr_module
 from cliquewidth import (
     Create,
     ExpressionPreconditionError,
@@ -13,6 +16,7 @@ from cliquewidth import (
     are_isomorphic,
     build_graph,
     clique_width_exact,
+    components,
     contains_induced,
     eval_expression,
     expr_disjoint_cliques,
@@ -22,10 +26,13 @@ from cliquewidth import (
     parse_expression,
     print_expression,
     realize_text,
+    to_edge_list_text,
     verify_expression,
     width,
 )
-from brute import random_graph
+from cliquewidth.cli import main
+from cliquewidth.graphs import bit_adjacency
+from brute import brute_has_module, random_graph
 from cw_oracle import naive_clique_width
 
 
@@ -218,3 +225,144 @@ def test_builders_match_solver_bounds(rng):
             except ExpressionPreconditionError:
                 continue
             assert width(e) >= k
+
+
+# --- decomposition -------------------------------------------------------
+
+def substitute(quotient: Graph, parts: list[Graph]) -> Graph:
+    """quotient[parts]: quotient vertex i replaced by parts[i], whose
+    vertices are 0..n-1; the result numbers the parts one after another."""
+    start, n = [], 0
+    for part in parts:
+        start.append(n)
+        n += part.n
+    edges = [(start[i] + u, start[i] + v) for i, part in enumerate(parts) for u, v in part.edges()]
+    edges += [
+        (start[a] + x, start[b] + y)
+        for a, b in quotient.edges()
+        for x in range(parts[a].n)
+        for y in range(parts[b].n)
+    ]
+    return build_graph(n, edges)
+
+
+def connected_piece(rng: random.Random, n: int) -> Graph:
+    while True:
+        g = random_graph(rng, n, rng.choice([0.4, 0.6, 0.8]))
+        if len(components(g)) == 1:
+            return g
+
+
+def random_cograph(rng: random.Random, n: int, join: bool | None = None) -> Graph:
+    if n == 1:
+        return build_graph(1, [])
+    cut = rng.randint(1, n - 1)
+    if join is None:
+        join = rng.random() < 0.5
+    top = build_graph(2, [(0, 1)] if join else [])
+    return substitute(top, [random_cograph(rng, cut), random_cograph(rng, n - cut)])
+
+
+def blow_up(rng: random.Random, quotient: Graph, n: int) -> Graph:
+    """Substitute random modules into a prime quotient, n vertices in all."""
+    sizes = [1] * quotient.n
+    for _ in range(n - quotient.n):
+        sizes[rng.randrange(quotient.n)] += 1
+    return substitute(quotient, [random_graph(rng, s, rng.choice([0.3, 0.7])) for s in sizes])
+
+
+DECOMPOSABLE_KINDS = ("union", "cograph", "P4", "C5", "C6", "C7", "nested")
+
+
+def decomposable_graph(rng: random.Random, kind: str, n: int) -> Graph:
+    """A graph on n vertices with a nontrivial module; n >= 7, and n >= 8
+    for C7 and nested."""
+    if kind == "union":
+        sizes = rng.choice([(n // 2, n - n // 2), (3, 3, n - 6)])
+        return substitute(build_graph(len(sizes), []), [connected_piece(rng, s) for s in sizes])
+    if kind == "cograph":
+        return random_cograph(rng, n, join=True)
+    if kind == "nested":
+        inner = blow_up(rng, realize_text(rng.choice(["P4", "C5"])), n - 3)
+        return substitute(realize_text("P4"), [inner, build_graph(1, []), build_graph(1, []), build_graph(1, [])])
+    return blow_up(rng, realize_text(kind), n)
+
+
+def graph_of_masks(masks: list[int], n: int) -> Graph:
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1])
+
+
+def test_solver_searches_only_prime_graphs(monkeypatch, rng):
+    searched = set()
+    search = kexpr_module._search
+
+    def recording(masks, n, k):
+        searched.add((tuple(masks), n))
+        return search(masks, n, k)
+
+    monkeypatch.setattr(kexpr_module, "_search", recording)
+    assert clique_width_exact(realize_text("K3+7P1"))[0] == 2
+    assert max(n for _, n in searched) == 2
+    graphs = [
+        decomposable_graph(rng, kind, rng.randint(8, 10))
+        for kind in DECOMPOSABLE_KINDS
+        for _ in range(3)
+    ]
+    for g in graphs:
+        assert brute_has_module(g)
+        k, expr = clique_width_exact(g)
+        assert width(expr) == k and verify_expression(expr, g)
+    for masks, n in searched:
+        assert not brute_has_module(graph_of_masks(list(masks), n))
+
+
+def undecomposed_width(g: Graph) -> int:
+    """Least k for which the subset search on the whole graph reaches it."""
+    _, _, masks = bit_adjacency(g)
+    return next(k for k in range(1, 7) if kexpr_module._search(masks, g.n, k) is not None)
+
+
+def test_decomposed_width_matches_whole_graph_search():
+    rng = random.Random(8)
+    for i in range(40):
+        kind = DECOMPOSABLE_KINDS[i % len(DECOMPOSABLE_KINDS)]
+        g = decomposable_graph(rng, kind, rng.randint(8 if kind in ("C7", "nested") else 7, 10))
+        k, expr = clique_width_exact(g)
+        assert k == undecomposed_width(g)
+        assert width(expr) == k and verify_expression(expr, g)
+
+
+# Witnesses of prime graphs, as printed before decomposition was added.
+PRIME_WITNESSES = {
+    "P4": "j(3,1,((v1 | j(1,2,(v1 | v2))) | v3))",
+    "C5": "j(3,1,(r(3->2,j(3,2,(j(1,2,(v1 | v2)) | j(1,3,(v1 | v3))))) | v3))",
+    "C7": "j(1,4,(r(1->4,j(4,3,(r(4->2,j(3,4,(r(3->2,j(4,3,(j(3,2,(j(1,2,(v1 | v2)) | v3)) | v4))) | v3))) | v4))) | v1))",
+}
+
+# clique-width stdout on a prime 7-vertex graph and on a relabelled C7.
+PRIME_CLI_OUTPUTS = [
+    (
+        [(0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (2, 3), (3, 5)],
+        "clique-width 4\n"
+        "j(1,3,(j(1,3,(j(4,3,j(1,4,(j(1,3,(j(1,2,(v1 | v2)) | v3)) | j(2,4,(v2 | v4))))) | v3)) | v1))\n",
+    ),
+    (
+        [(0, 2), (0, 3), (1, 2), (1, 4), (3, 6), (4, 5), (5, 6)],
+        "clique-width 4\n"
+        "j(1,4,j(1,3,(r(1->2,j(1,3,(r(3->2,j(4,3,(r(4->2,j(4,2,j(1,4,(j(3,2,((v1 | v2) | v3)) | v4)))) | v4))) | v3))) | v1)))\n",
+    ),
+]
+
+
+def test_prime_witnesses_match_golden(tmp_path, capsys):
+    for text, expected in PRIME_WITNESSES.items():
+        g = realize_text(text)
+        assert not brute_has_module(g)
+        assert print_expression(clique_width_exact(g)[1]) == expected
+    for i, (edges, expected) in enumerate(PRIME_CLI_OUTPUTS):
+        g = build_graph(7, edges)
+        assert not brute_has_module(g)
+        path = tmp_path / f"prime{i}.el"
+        path.write_text(to_edge_list_text(g))
+        assert main(["clique-width", str(path)]) == 0
+        assert capsys.readouterr().out == expected
