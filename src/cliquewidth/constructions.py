@@ -1,5 +1,6 @@
-"""Wall graphs, edge subdivision, the complemented-wall family, and the
-graph-isomorphism reduction into the (diamond, P2+P4)-free class.
+"""Wall graphs, the complemented-wall family, and the graph-isomorphism
+reduction into the (diamond, P2+P4)-free class, all built by edge
+subdivision (``graphs.subdivide``) and bipartite complementation.
 
 The wall convention: height h spans rows 0..h of a grid with columns
 0..2h+1, rows are paths, vertical rungs between rows y and y+1 sit at
@@ -17,6 +18,7 @@ from .graphs import (
     bipartite_complement,
     is_bipartite,
     parse_edge_list_text,
+    subdivide,
     to_edge_list_text,
 )
 
@@ -68,27 +70,6 @@ def wall(height: int) -> Graph:
     if not ok or g.max_degree() > 3:
         raise AssertionError("wall construction lost its defining properties")
     return g
-
-
-def subdivide(g: Graph, times: int) -> Graph:
-    """Replace every edge by a path with ``times`` fresh internal vertices.
-
-    Fresh ids are assigned in edge-list order, so derived partitions are
-    reproducible.
-    """
-    if times < 0:
-        raise GraphError("subdivision count must be non-negative")
-    if times == 0:
-        return g
-    verts = list(g.vertices)
-    nxt = (verts[-1] + 1) if verts else 0
-    edges = []
-    for u, v in g.edges():
-        chain = [u] + [nxt + i for i in range(times)] + [v]
-        nxt += times
-        verts.extend(chain[1:-1])
-        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    return Graph(verts, edges)
 
 
 def complemented_wall(height: int) -> PartitionedGraph:

@@ -182,6 +182,30 @@ def bipartite_complement(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Grap
     )
 
 
+def subdivide(g: Graph, times: int) -> Graph:
+    """Replace every edge by a path with ``times`` fresh internal vertices.
+
+    Fresh ids are assigned in edge-list order, so derived partitions are
+    reproducible.
+    """
+    if times < 0:
+        raise GraphError("subdivision count must be non-negative")
+    if times == 0:
+        return g
+    nxt = (g.vertices[-1] + 1) if g.n else 0
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for u, v in g.edges():
+        prev = u
+        for w in range(nxt, nxt + times):
+            adj[w] = {prev}
+            adj[prev].add(w)
+            prev = w
+        nxt += times
+        adj[prev].add(v)
+        adj[v].add(prev)
+    return Graph._from_adj({v: frozenset(nb) for v, nb in adj.items()})
+
+
 def prune_degree_one(g: Graph) -> Graph:
     """Repeatedly delete all current degree-1 vertices until none remain.
 

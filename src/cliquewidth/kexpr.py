@@ -581,7 +581,9 @@ def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list
             + [outside[v] for v in leaves_quo[pos + 1 :]]
         )
         return max(k_sub, k_quo), expr, leaves
-    for k in range(1, k_max + 1):
+    # Prime on n > 2 vertices: connected and co-connected, so an induced P4
+    # and width >= 3 (Corneil, Perl & Stewart 1985; Courcelle & Olariu 2000).
+    for k in range(3 if n > 2 else 1, k_max + 1):
         found = _search(masks, n, k)
         if found is not None:
             return k, *_reconstruct(*found, k)

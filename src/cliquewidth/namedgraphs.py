@@ -180,6 +180,23 @@ def print_spec(spec: NamedGraphSpec) -> str:
     return "+".join(parts)
 
 
+def spec_order(spec: NamedGraphSpec) -> int:
+    """The number of vertices of the denoted graph, read off the AST
+    without building it."""
+    total = 0
+    for mult, base in spec.terms:
+        if isinstance(base, ComplementOf):
+            size = spec_order(base.inner)
+        elif base.kind == "K1s":
+            size = base.params[0] + 1
+        elif base.kind == "S":
+            size = sum(base.params) + 1
+        else:
+            size = base.params[0]
+        total += mult * size
+    return total
+
+
 def _realize_base(base: BaseGraph) -> Graph:
     kind, params = base.kind, base.params
     if kind == "P":

@@ -13,14 +13,21 @@ undone from a trail (McKay & Piperno, *Practical graph isomorphism II*,
 2014); it returns the first embedding found by its fixed search order.
 ``colour_refinement`` recolours a whole graph per round and serves
 ``fingerprint`` alone, whose colour ids are hashed into certificate roots.
+
+Each engine re-checks its embedding from scratch with ``Embedding.validate``
+before returning it.  That check compares, per pattern vertex, the image of
+its neighbourhood with the image's part of its host neighbourhood, so it is
+linear in the sizes of the two graphs.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .graphs import Graph, bit_adjacency
-from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize
+from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize, spec_order
 
 
 @dataclass(frozen=True)
@@ -36,20 +43,25 @@ class Embedding:
         return tuple(v for _, v in self.mapping)
 
     def validate(self, host: Graph, pattern: Graph) -> bool:
-        """Re-check injectivity and the induced condition from scratch."""
+        """Re-check injectivity and the induced condition from scratch.
+
+        The map is induced exactly when each pattern vertex's neighbourhood
+        maps onto the part of its image's host neighbourhood that lies in
+        the image, so the check is one set comparison per pattern vertex:
+        linear in the sizes of the two graphs, with no test per vertex pair.
+        """
         m = self.as_dict()
         if sorted(m) != list(pattern.vertices):
             return False
-        if len(set(m.values())) != len(m):
+        image = frozenset(m.values())
+        if len(image) != len(m):
             return False
-        if any(not host.has_vertex(v) for v in m.values()):
+        if any(not host.has_vertex(v) for v in image):
             return False
-        pv = pattern.vertices
-        for i, u in enumerate(pv):
-            for w in pv[i + 1 :]:
-                if pattern.has_edge(u, w) != host.has_edge(m[u], m[w]):
-                    return False
-        return True
+        return all(
+            {m[w] for w in pattern.neighbors(u)} == host.neighbors(v) & image
+            for u, v in m.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -198,9 +210,15 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
 def is_free(
     host: Graph, specs: list[NamedGraphSpec | str]
 ) -> tuple[bool, FreenessWitness | None]:
-    """True iff none of the named graphs occurs induced; else a witness."""
+    """True iff none of the named graphs occurs induced; else a witness.
+
+    A named graph with more vertices than the host cannot occur, and is
+    skipped without being built.
+    """
     for spec in specs:
         parsed = spec if isinstance(spec, NamedGraphSpec) else parse_spec(spec)
+        if spec_order(parsed) > host.n:
+            continue
         pattern = realize(parsed)
         emb = contains_induced(host, pattern)
         if emb is not None:
@@ -243,8 +261,9 @@ def _split(
     """Replace cell ``cid`` by ``parts``, which take the next free ids in
     order, and record the split on ``trail``.  False, with nothing changed,
     if a part holds unequal numbers of g- and h-vertices."""
-    if any(2 * sum(v < n for v in vs) != len(vs) for vs in parts):
-        return False
+    for vs in parts:
+        if 2 * sum(map(n.__gt__, vs)) != len(vs):
+            return False
     trail.append((cid, len(cells)))
     cells[cid] = None
     ids = []
@@ -304,22 +323,23 @@ def _refine(
         if splitter not in queued:
             continue
         queued.discard(splitter)
-        count: dict[int, int] = {}
-        for v in cells[splitter]:
-            for w in adj[v]:
-                count[w] = count.get(w, 0) + 1
-        touched: dict[int, dict[int, list[int]]] = {}
+        count = Counter(chain.from_iterable([adj[v] for v in cells[splitter]]))
+        groups: dict[tuple[int, int], list[int]] = {}
         for w, c in count.items():
-            touched.setdefault(cell_of[w], {}).setdefault(c, []).append(w)
-        for cid in sorted(touched):
-            by_count = touched[cid]
+            key = (cell_of[w], c)
+            vs = groups.get(key)
+            if vs is None:
+                groups[key] = [w]
+            else:
+                vs.append(w)
+        # Sorted keys list each touched cell once, its counts ascending.
+        for cid, keys in groupby(sorted(groups), itemgetter(0)):
+            parts = [groups[key] for key in keys]
             cell = cells[cid]
-            hit = sum(len(vs) for vs in by_count.values())
-            if hit < len(cell):
-                by_count[0] = [v for v in cell if v not in count]
-            elif len(by_count) == 1:
+            if len(parts) == 1 and len(parts[0]) == len(cell):
                 continue
-            parts = [by_count[c] for c in sorted(by_count)]
+            if sum(map(len, parts)) < len(cell):
+                parts.insert(0, [v for v in cell if v not in count])
             if not _split(n, cell_of, cells, cid, parts, queue, queued, trail):
                 return False
     return True

@@ -142,3 +142,18 @@ def brute_has_module(g: Graph) -> bool:
             ):
                 return True
     return False
+
+
+def brute_is_induced_embedding(host: Graph, pattern: Graph, mapping: dict[int, int]) -> bool:
+    """An injective map of exactly the pattern's vertices into the host's
+    that preserves adjacency and non-adjacency on every vertex pair."""
+    pv = list(pattern.vertices)
+    if sorted(mapping) != pv or len(set(mapping.values())) != len(mapping):
+        return False
+    if any(not host.has_vertex(v) for v in mapping.values()):
+        return False
+    return all(
+        pattern.has_edge(a, b) == host.has_edge(mapping[a], mapping[b])
+        for i, a in enumerate(pv)
+        for b in pv[i + 1 :]
+    )

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from cliquewidth import Graph, realize_text, to_edge_list_text, to_graph6, verify_expression
-from cliquewidth import cli
+from cliquewidth import cli, parse_spec, realize
+from cliquewidth import search as search_module
 from cliquewidth.certify import (
     BaseLeaf,
     Certificate,
@@ -15,6 +16,7 @@ from cliquewidth.certify import (
 )
 from cliquewidth.cli import main
 from cliquewidth.kexpr import parse_expression
+from cliquewidth.namedgraphs import spec_order
 
 
 def write_graph(tmp_path, name, text_graph):
@@ -32,6 +34,28 @@ def test_check_free_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "contains" in out and "co(2P1+P2)" in out
     assert main(["check-free", str(tmp_path / "missing.el"), "--spec", "diamond"]) == 2
+
+
+def test_check_free_skips_named_graphs_larger_than_the_host(tmp_path, capsys, monkeypatch):
+    # Building 60000P1 or P99999999 would take minutes; their vertex count
+    # alone shows that a 4-vertex host is free of them.
+    built = []
+
+    def spy(spec):
+        built.append(spec)
+        if spec_order(spec) > 4:
+            raise AssertionError(f"realized {spec}")
+        return realize(spec)
+
+    monkeypatch.setattr(search_module, "realize", spy)
+    p4 = write_graph(tmp_path, "p4.el", "P4")
+    for spec in ("60000P1", "P99999999", "co(5P1)"):
+        assert main(["check-free", p4, "--spec", spec]) == 0
+        assert capsys.readouterr().out == "free\n"
+    assert built == []
+    assert main(["check-free", p4, "--spec", "P99999999", "--spec", "P3"]) == 1
+    assert capsys.readouterr().out == "contains P3 on vertices [0, 1, 2]\n"
+    assert built == [parse_spec("P3")]
 
 
 def test_check_free_c7_examples(tmp_path, capsys):

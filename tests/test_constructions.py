@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import cliquewidth.constructions as constructions
 from cliquewidth import (
     Graph,
     GraphError,
@@ -21,6 +24,7 @@ from cliquewidth.constructions import (
     verify_gi_profile,
     wall,
 )
+from brute import random_graph
 
 
 def test_wall_counts_match_the_drawings():
@@ -58,6 +62,36 @@ def test_subdivide_counts(rng):
             s = subdivide(g, k)
             assert s.n == g.n + k * g.m
             assert s.m == (k + 1) * g.m
+
+
+def subdivide_reference(g: Graph, times: int) -> Graph:
+    """Subdivision through the validating constructor, fresh ids in
+    edge-list order: the construction ``subdivide`` must reproduce."""
+    if times == 0:
+        return g
+    verts = list(g.vertices)
+    nxt = (verts[-1] + 1) if verts else 0
+    edges = []
+    for u, v in g.edges():
+        chain = [u] + [nxt + i for i in range(times)] + [v]
+        nxt += times
+        verts.extend(chain[1:-1])
+        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
+    return Graph(verts, edges)
+
+
+def test_subdivide_matches_validating_reference(monkeypatch):
+    rng = random.Random("subdivide-reference")
+    seeds = [random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.6])) for _ in range(15)]
+    seeds.append(Graph([2, 5, 9], [(2, 9), (5, 9)]))
+    for g in seeds + [wall(h) for h in (2, 3, 4)]:
+        for times in (1, 2, 3):
+            assert subdivide(g, times) == subdivide_reference(g, times)
+    fast = [complemented_wall(h) for h in (2, 3)] + [gi_reduce(g) for g in seeds]
+    monkeypatch.setattr(constructions, "subdivide", subdivide_reference)
+    slow = [complemented_wall(h) for h in (2, 3)] + [gi_reduce(g) for g in seeds]
+    for a, b in zip(fast, slow):
+        assert a.graph == b.graph and a.parts == b.parts
 
 
 def test_subdivide_of_bipartite_keeps_sides_apart():

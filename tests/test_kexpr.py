@@ -316,6 +316,25 @@ def test_solver_searches_only_prime_graphs(monkeypatch, rng):
         assert not brute_has_module(graph_of_masks(list(masks), n))
 
 
+def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
+    levels = []
+    search = kexpr_module._search
+
+    def recording(masks, n, k):
+        levels.append((n, k))
+        return search(masks, n, k)
+
+    monkeypatch.setattr(kexpr_module, "_search", recording)
+    graphs = [realize_text(t) for t in ("P4", "C5", "C7", "K3+7P1", "P1")]
+    graphs += [decomposable_graph(rng, kind, rng.randint(8, 10)) for kind in DECOMPOSABLE_KINDS]
+    graphs += [random_graph(rng, rng.randint(4, 8), 0.5) for _ in range(20)]
+    for g in graphs:
+        k, expr = clique_width_exact(g)
+        assert width(expr) == k and verify_expression(expr, g)
+    assert any(n > 2 for n, _ in levels) and any(n <= 2 for n, _ in levels)
+    assert all(k >= 3 for n, k in levels if n > 2)
+
+
 def undecomposed_width(g: Graph) -> int:
     """Least k for which the subset search on the whole graph reaches it."""
     _, _, masks = bit_adjacency(g)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -5,6 +6,7 @@ import networkx as nx
 import pytest
 
 from cliquewidth import (
+    Embedding,
     Graph,
     are_isomorphic,
     build_graph,
@@ -15,7 +17,12 @@ from cliquewidth import (
     realize_text,
 )
 from cliquewidth.constructions import complemented_wall, gi_reduce
-from brute import brute_contains_induced, brute_least_induced, random_graph
+from brute import (
+    brute_contains_induced,
+    brute_is_induced_embedding,
+    brute_least_induced,
+    random_graph,
+)
 
 
 def _permuted(g: Graph, rng) -> Graph:
@@ -256,6 +263,47 @@ def test_fingerprint_golden(g, expected):
     assert fingerprint(g) == expected
 
 
+def _mutated_maps(host: Graph, pattern: Graph, base: dict[int, int], rng) -> list[dict[int, int]]:
+    """``base`` and its corruptions: two images swapped, two pattern
+    vertices sent to one host vertex, a pattern vertex missing, an extra
+    vertex outside the pattern, and an image outside the host."""
+    out = [dict(base)]
+    pv = sorted(base)
+    if len(pv) >= 2:
+        a, b = rng.sample(pv, 2)
+        swapped = dict(base)
+        swapped[a], swapped[b] = base[b], base[a]
+        merged = dict(base)
+        merged[a] = base[b]
+        out += [swapped, merged]
+    if pv:
+        missing = dict(base)
+        del missing[rng.choice(pv)]
+        off_host = dict(base)
+        off_host[rng.choice(pv)] = max(host.vertices) + 1
+        out += [missing, off_host]
+    extra = dict(base)
+    extra[max(pattern.vertices, default=-1) + 1] = rng.choice(host.vertices)
+    out.append(extra)
+    return out
+
+
+def test_validate_agrees_with_pairwise_oracle(rng):
+    kinds = {True: 0, False: 0}
+    for _ in range(300):
+        host = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
+        pattern = random_graph(rng, rng.randint(0, host.n), rng.choice([0.2, 0.5, 0.8]))
+        found = contains_induced(host, pattern)
+        # A valid map when one exists, else a random injective one.
+        base = found.as_dict() if found else dict(zip(pattern.vertices, rng.sample(host.vertices, pattern.n)))
+        for mapping in _mutated_maps(host, pattern, base, rng):
+            emb = Embedding(tuple(sorted(mapping.items())))
+            expected = brute_is_induced_embedding(host, pattern, mapping)
+            assert emb.validate(host, pattern) == expected, (host.edges(), pattern.edges(), mapping)
+            kinds[expected] += 1
+    assert min(kinds.values()) > 100
+
+
 def test_embedding_revalidation_always_passes(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.7]))
@@ -264,3 +312,68 @@ def test_embedding_revalidation_always_passes(rng):
             emb = contains_induced(g, pat)
             if emb is not None:
                 assert emb.validate(g, pat)
+
+
+def _degree_swapped(g: Graph, rng) -> Graph | None:
+    """A graph with g's degree sequence, one double-edge swap away and not
+    isomorphic to g by brute force; None when no tried swap gives one."""
+    edges = list(g.edges())
+    for _ in range(50):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+            continue
+        swapped = [e for e in edges if e not in ((a, b), tuple(sorted((c, d))))]
+        h = Graph(g.vertices, swapped + [(a, d), (c, b)])
+        if brute_contains_induced(h, g) is None:
+            return h
+    return None
+
+
+def _random_cubic(rng, n: int) -> Graph:
+    """A simple cubic graph on 0..n-1 from the pairing model, by rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return Graph(range(n), pairs)
+
+
+def golden_iso_corpus() -> list[tuple[Graph, Graph]]:
+    rng = random.Random("iso-golden")
+    pairs = [
+        (realize_text("C6"), realize_text("2K3")),
+        (gi_reduce(realize_text("C6")).graph, gi_reduce(realize_text("2K3")).graph),
+        (SHRIKHANDE, ROOK_4X4),
+        (SHRIKHANDE, _permuted(SHRIKHANDE, rng)),
+        (ROOK_4X4, _permuted(ROOK_4X4, rng)),
+    ]
+    for i in range(12):
+        g = random_graph(rng, 5 + i % 2, 0.5)
+        pairs.append((gi_reduce(g).graph, gi_reduce(_permuted(g, rng)).graph))
+        if g.m >= 2:
+            h = _degree_swapped(g, rng)
+            if h is not None:
+                pairs.append((gi_reduce(g).graph, gi_reduce(_permuted(h, rng)).graph))
+    for n in range(8, 21, 2):
+        g = _random_cubic(rng, n)
+        pairs.append((g, _permuted(g, rng)))
+    return pairs
+
+
+# Taken with the pairwise ``Embedding.validate`` and the dict-loop
+# ``_refine``: a faster engine must make every decision the same.
+GOLDEN_ISO_DIGEST = "002495bf2364be76e02881c2d218f95b7d23b7fbbc480a9162d53a0286185b0f"
+
+
+def test_are_isomorphic_outcomes_match_golden_digest():
+    digest = hashlib.sha256()
+    outcomes = []
+    for g, h in golden_iso_corpus():
+        emb = are_isomorphic(g, h)
+        outcomes.append(emb is not None)
+        digest.update(f"{g.edges()} {h.edges()} {emb.mapping if emb else None}\n".encode())
+    assert True in outcomes and False in outcomes
+    assert digest.hexdigest() == GOLDEN_ISO_DIGEST
