@@ -5,31 +5,23 @@ Exit codes: 0 success (or domain answer "yes"), 1 domain answer "no"
 usage or I/O errors, 3 internal error (a certifier reached a contradiction
 that a correct implementation cannot reach on a class member).  All output
 is deterministic for fixed inputs.
+
+Each command imports the modules it uses when it runs, so one process loads
+only what its command needs.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from . import certify as cert
-from .constructions import (
-    complemented_wall,
-    gi_reduce,
-    to_partitioned_text,
-    verify_complemented_wall,
-    verify_gi_profile,
-    wall,
-)
 from .graphs import (
     Graph,
+    SizeLimitError,
     from_edge_list_text,
     from_graph6,
     to_edge_list_text,
     to_graph6,
 )
-from .kexpr import KMAX_LIMIT, SOLVER_LIMIT, clique_width_exact, print_expression
-from .recognition import SizeLimitError
-from .search import is_free
 
 
 class CliError(Exception):
@@ -57,6 +49,8 @@ def _write_out(out: str | None, text: str) -> None:
 
 
 def _cmd_check_free(args: argparse.Namespace) -> int:
+    from .search import is_free
+
     g = _read_graph(args.graph, args.format)
     if not args.spec:
         raise CliError("at least one --spec is required")
@@ -69,14 +63,17 @@ def _cmd_check_free(args: argparse.Namespace) -> int:
 
 
 def _cmd_clique_width(args: argparse.Namespace) -> int:
+    from .kexpr import KMAX_LIMIT, SOLVER_LIMIT, clique_width_exact, print_expression
+
     g = _read_graph(args.graph, args.format)
+    kmax = KMAX_LIMIT if args.kmax is None else args.kmax
     limit = g.n if args.unsafe_size else SOLVER_LIMIT
     try:
-        result = clique_width_exact(g, args.kmax, size_limit=limit)
+        result = clique_width_exact(g, kmax, size_limit=limit)
     except SizeLimitError as exc:
         raise CliError(str(exc)) from exc
     if result is None:
-        print(f"clique-width exceeds {args.kmax}")
+        print(f"clique-width exceeds {kmax}")
         return 1
     k, expr = result
     print(f"clique-width {k}")
@@ -85,16 +82,19 @@ def _cmd_clique_width(args: argparse.Namespace) -> int:
     return 0
 
 
+# Second forbidden graph -> name of its certifier in ``certify``.
 _CERTIFIERS = {
-    "3P1+P2": cert.certify_diamond_3p1p2,
-    "2P1+P3": cert.certify_diamond_2p1p3,
-    "P2+P3": cert.certify_diamond_p2p3,
+    "3P1+P2": "certify_diamond_3p1p2",
+    "2P1+P3": "certify_diamond_2p1p3",
+    "P2+P3": "certify_diamond_p2p3",
 }
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from . import certify as cert
+
     g = _read_graph(args.graph, args.format)
-    certifier = _CERTIFIERS[args.forbidden]
+    certifier = getattr(cert, _CERTIFIERS[args.forbidden])
     try:
         certificate = certifier(g)
     except cert.NotInClassError as exc:
@@ -117,6 +117,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_certificate(args: argparse.Namespace) -> int:
+    from . import certify as cert
+
     g = _read_graph(args.graph, args.format)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
@@ -133,6 +135,15 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import (
+        complemented_wall,
+        gi_reduce,
+        to_partitioned_text,
+        verify_complemented_wall,
+        verify_gi_profile,
+        wall,
+    )
+
     kind = args.kind
     if kind in ("wall", "complemented-wall"):
         try:
@@ -175,7 +186,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_pair(args: argparse.Namespace) -> int:
-    status = cert.classify_pair(args.s, args.t)
+    from .certify import classify_pair
+
+    status = classify_pair(args.s, args.t)
     print(status.status)
     return 0
 
@@ -201,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "clique-width", parents=[fmt, out], help="exact clique-width with a witness"
     )
     p.add_argument("graph")
-    p.add_argument("--kmax", type=int, default=KMAX_LIMIT)
+    # None stands for kexpr.KMAX_LIMIT, read when the command runs.
+    p.add_argument("--kmax", type=int, default=None)
     p.add_argument(
         "--unsafe-size", action="store_true", help="lift the solver's size limit"
     )
@@ -251,7 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except cert.InternalContradictionError as exc:
+    except AssertionError as exc:
+        # Only a certifier raises InternalContradictionError, so when one is
+        # raised its module is loaded; any other assertion propagates.
+        cert = sys.modules.get(f"{__package__}.certify")
+        if cert is None or not isinstance(exc, cert.InternalContradictionError):
+            raise
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

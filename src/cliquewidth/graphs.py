@@ -18,6 +18,10 @@ class GraphError(ValueError):
     """Raised for invalid graph constructions or vertex references."""
 
 
+class SizeLimitError(ValueError):
+    """Raised when an exact routine is asked to exceed its size limit."""
+
+
 class Graph:
     """An immutable, simple, undirected graph.
 

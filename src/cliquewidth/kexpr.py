@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_adjacency, components, find_cycle
-from .recognition import SizeLimitError
+from .graphs import Graph, SizeLimitError, bit_adjacency, components, find_cycle
 from .search import Embedding, are_isomorphic
 
 SOLVER_LIMIT = 10

@@ -197,6 +197,34 @@ def spec_order(spec: NamedGraphSpec) -> int:
     return total
 
 
+def spec_edgeless(spec: NamedGraphSpec) -> bool:
+    """True iff the denoted graph has no edge, read off the AST without
+    building it."""
+    for _, base in spec.terms:
+        if isinstance(base, ComplementOf):
+            if not _spec_complete(base.inner):
+                return False
+        elif base.kind not in ("P", "K") or base.params[0] != 1:
+            return False
+    return True
+
+
+def _spec_complete(spec: NamedGraphSpec) -> bool:
+    # A union of two or more pieces has a non-edge between them.
+    if len(spec.terms) != 1 or spec.terms[0][0] != 1:
+        return False
+    base = spec.terms[0][1]
+    if isinstance(base, ComplementOf):
+        return spec_edgeless(base.inner)
+    kind, r = base.kind, base.params[0]
+    return (
+        kind == "K"
+        or (kind == "P" and r <= 2)
+        or (kind == "C" and r == 3)
+        or (kind == "K1s" and r == 1)
+    )
+
+
 def _realize_base(base: BaseGraph) -> Graph:
     kind, params = base.kind, base.params
     if kind == "P":

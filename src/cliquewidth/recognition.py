@@ -12,21 +12,18 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    SizeLimitError,
     bit_adjacency,
     build_graph,
     complement,
     induced_subgraph,
 )
-from .namedgraphs import NamedGraphSpec, parse_spec, realize
+from .namedgraphs import NamedGraphSpec, parse_spec, realize, spec_edgeless, spec_order
 from .search import contains_induced, is_free
 
 EXACT_SCALE_LIMIT = 24
 DESK_SCALE_LIMIT = 16
 SAMPLING_LIMIT = 16
-
-
-class SizeLimitError(ValueError):
-    """Raised when an exact routine is asked to exceed its size limit."""
 
 
 class GenerationBudgetError(RuntimeError):
@@ -268,8 +265,10 @@ def is_perfect_desk(
     return True, None
 
 
-# Containers whose H-free bipartite graphs form bounded-clique-width classes.
+# Containers whose H-free bipartite graphs form bounded-clique-width classes,
+# and the order of the largest one.
 _BIPARTITE_CONTAINERS = ("K1,3+3P1", "K1,3+P2", "P1+S(1,1,3)", "S(1,2,3)")
+_LARGEST_CONTAINER = 7
 
 
 def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
@@ -281,7 +280,13 @@ def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
     if isinstance(h, Graph):
         pattern = h
     else:
-        pattern = realize(h if isinstance(h, NamedGraphSpec) else parse_spec(h))
+        spec = h if isinstance(h, NamedGraphSpec) else parse_spec(h)
+        if spec_order(spec) > _LARGEST_CONTAINER:
+            # Too large for any container: only an edgeless H qualifies, and
+            # a named graph from outside the program may be huge, so it is
+            # judged from its name without being built.
+            return spec_edgeless(spec)
+        pattern = realize(spec)
     if pattern.m == 0 and pattern.n >= 1:
         return True
     for container_text in _BIPARTITE_CONTAINERS:

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from cliquewidth import Graph, realize_text, to_edge_list_text, to_graph6, verify_expression
-from cliquewidth import cli, parse_spec, realize
+from cliquewidth import parse_spec, realize
+from cliquewidth import certify as certify_module
+from cliquewidth import recognition as recognition_module
 from cliquewidth import search as search_module
 from cliquewidth.certify import (
     BaseLeaf,
@@ -166,12 +168,24 @@ def test_internal_contradiction_exit_code(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InternalContradictionError("cover vanished")
 
-    monkeypatch.setitem(cli._CERTIFIERS, "P2+P3", broken)
+    monkeypatch.setattr(certify_module, "certify_diamond_p2p3", broken)
     star = write_graph(tmp_path, "star.el", "K1,3")
     assert main(["certify", star, "P2+P3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: cover vanished\n"
+
+
+def test_plain_assertion_error_propagates(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise AssertionError("not a certifier contradiction")
+
+    monkeypatch.setattr(certify_module, "certify_diamond_p2p3", broken)
+    star = write_graph(tmp_path, "star.el", "K1,3")
+    with pytest.raises(AssertionError, match="not a certifier contradiction") as info:
+        main(["certify", star, "P2+P3"])
+    assert type(info.value) is AssertionError
+    assert capsys.readouterr().err == ""
 
 
 def test_construct_output_feeds_graph_commands(tmp_path, capsys):
@@ -206,6 +220,28 @@ def test_verify_certificate_malformed(tmp_path, capsys, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "h, code, out",
+    [
+        ("60000P1", 0, "certificate valid (1 leaves)\n"),
+        ("60000P1+P2", 1, "step: 60000P1+P2-free bipartite graphs are not a bounded class\n"),
+    ],
+    ids=["edgeless", "with-an-edge"],
+)
+def test_verify_certificate_large_bipartite_leaf(tmp_path, capsys, monkeypatch, h, code, out):
+    # Building H would take minutes; its name alone decides the leaf.
+    def spy(spec):
+        raise AssertionError(f"realized {spec}")
+
+    monkeypatch.setattr(recognition_module, "realize", spy)
+    p4 = write_graph(tmp_path, "p4.el", "P4")
+    cert = tmp_path / "cert.json"
+    leaf = BaseLeaf("bipartite_h_free", h=h)
+    cert.write_text(certificate_to_json(Certificate(certificate_root(realize_text("P4")), leaf)))
+    assert main(["verify-certificate", p4, str(cert)]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_verify_certificate_deep_expression(tmp_path, capsys):

@@ -17,8 +17,13 @@ from cliquewidth import (
     is_free,
     is_perfect_desk,
     omega,
+    parse_spec,
+    print_spec,
+    realize,
     realize_text,
 )
+from cliquewidth import recognition
+from cliquewidth.namedgraphs import spec_edgeless, spec_order
 from brute import (
     brute_alpha,
     brute_chromatic,
@@ -161,6 +166,57 @@ def test_bipartite_class_bounded_examples():
     assert bipartite_class_bounded("2P1+P2")
     assert bipartite_class_bounded(realize_text("P4"))
     assert not bipartite_class_bounded("K3")
+
+
+def _base_names(k):
+    """Every base graph name with k vertices."""
+    names = [f"P{k}", f"K{k}"] + [f"C{k}"] * (k >= 3) + [f"K1,{k - 1}"] * (k >= 2)
+    for h in range(1, k):
+        for i in range(h, k):
+            if k - 1 - h - i >= i:
+                names.append(f"S({h},{i},{k - 1 - h - i})")
+    return names
+
+
+def _union_names(n):
+    """Every union of base graphs with n vertices in total, each multiset once."""
+    pieces = [name for k in range(1, n + 1) for name in _base_names(k)]
+    orders = [spec_order(parse_spec(name)) for name in pieces]
+    out = []
+
+    def extend(start, left, chosen):
+        if left == 0:
+            out.append("+".join(chosen))
+        for i in range(start, len(pieces)):
+            if orders[i] <= left:
+                extend(i, left - orders[i], chosen + [pieces[i]])
+
+    extend(0, n, [])
+    return out
+
+
+def test_bipartite_class_bounded_from_the_name_matches_the_realized_graph():
+    # Above seven vertices (the largest container) the answer is read off
+    # the name; a Graph argument always takes the realize-and-embed path.
+    unions = [name for n in range(1, 10) for name in _union_names(n)]
+    picked = ["co(K8)", "co(K9)", "co(co(8P1))", "2co(K4)", "co(K3)+co(K5)", "co(K4)+P1+K1",
+              "co(K8)+P2", "co(co(K2)+P1)+5P1", "co(P2)+co(C3)+co(K1,1)", "co(4P1+co(4P1))"]
+    for text in unions + [f"co({name})" for name in unions] + picked:
+        spec = parse_spec(text)
+        assert spec_edgeless(spec) == (realize(spec).m == 0), text
+        assert bipartite_class_bounded(spec) == bipartite_class_bounded(realize(spec)), text
+    assert bipartite_class_bounded("co(K8)") and not bipartite_class_bounded("co(8P1)")
+
+
+def test_bipartite_class_bounded_does_not_build_large_named_graphs(monkeypatch):
+    # Building any of these would take minutes.
+    def spy(spec):
+        raise AssertionError(f"realized {print_spec(spec)}")
+
+    monkeypatch.setattr(recognition, "realize", spy)
+    assert bipartite_class_bounded("60000P1")
+    assert not bipartite_class_bounded("60000P1+P2")
+    assert bipartite_class_bounded("co(K60000)")
 
 
 def test_generate_free_postconditions():
