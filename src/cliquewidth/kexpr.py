@@ -24,6 +24,14 @@ classes of the two operands fuse, which is expressed by a partial matching
 between their classes), forced joins are applied, and renames merge classes
 whose members agree on their neighbourhood outside S.
 
+Twin classes.  Every class of a state on S is therefore a set of twins
+towards V - S: a created singleton trivially, and fusion and renames only
+join classes with equal signatures outside S.  So a state on S has at least
+t(S) classes, where t(S) counts the distinct neighbourhoods outside S among
+the vertices of S, and the search skips every S with t(S) > k.  For the same
+reason each class of one union operand is complete or anticomplete to each
+class of the other, so only a fused class can make a forced join fail.
+
 Decomposition.  Clique-width survives substitution: the width of Q[M1..Mk]
 is the maximum of the widths of Q and of the Mi (Courcelle & Olariu, *Upper
 bounds to the clique width of graphs*, 2000).  So before searching, the
@@ -261,15 +269,52 @@ def verify_expression(e: KExpression, g: Graph) -> bool:
 # Exact solver.
 # ---------------------------------------------------------------------------
 
-def _search(masks: list[int], n: int, k: int):
+def _subset_order(masks: list[int], n: int) -> tuple[list[int], bytes]:
+    """Every nonempty vertex subset S in search order, ascending by
+    (popcount, value), and t(S) for every S: the number of distinct
+    neighbourhoods outside S among the vertices of S."""
+    subsets = sorted(range(1, 1 << n), key=lambda s: (bin(s).count("1"), s))
+    twins = bytes(len({masks[v] & ~s for v in range(n) if s >> v & 1}) for s in range(1 << n))
+    return subsets, twins
+
+
+def _matchings(open_js: list[tuple[int, list[int]]], least: int, x: int, used: int,
+               pairs: list[tuple[int, int]], out: list[list[tuple[int, int]]]) -> None:
+    """Append to ``out`` every extension of ``pairs`` that gives each j of
+    open_js[x:] nothing or one of its i, no i twice (``used`` holds the i
+    already taken), and has at least ``least`` pairs.  Depth first, trying
+    nothing before each i in turn."""
+    # Even matching every remaining j cannot reach ``least``.
+    if len(pairs) + len(open_js) - x < least:
+        return
+    if x == len(open_js):
+        out.append(pairs)
+        return
+    _matchings(open_js, least, x + 1, used, pairs, out)
+    j, found = open_js[x]
+    for i in found:
+        if not used >> i & 1:
+            _matchings(open_js, least, x + 1, used | 1 << i, pairs + [(i, j)], out)
+
+
+def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes] | None = None):
     """Reachability over (subset, partition) states with at most k classes.
 
-    Returns (goal_key, parents) where parents maps (S, P) to the record of
-    how the state was first reached, or None when the goal is unreachable.
-    Deterministic: subsets ascend by (popcount, value), partitions are
-    sorted tuples of class bitmasks, and insertion order fixes parents.
+    Returns ((S, goal), states, or_mask), or None when the goal is
+    unreachable.  S is the full vertex set and goal the first partition
+    reached on it; states maps each searched subset to a dict from
+    partition to the record of how it was first reached; or_mask(m) is the
+    union of the neighbourhoods of the vertices in m.  Deterministic:
+    subsets ascend by (popcount, value), partitions are sorted tuples of
+    class bitmasks, and insertion order fixes the records.
+
+    Every class of a state on S is a set of twins towards V - S, so subsets
+    with t(S) > k are skipped (see the module docstring).  ``order`` is
+    ``_subset_order(masks, n)``, computed here when not given, so that one
+    prime part shares it across its k levels.
     """
     full = (1 << n) - 1
+    subsets, twins = order or _subset_order(masks, n)
     or_cache: dict[int, int] = {}
     common_cache: dict[int, int] = {}
 
@@ -295,96 +340,98 @@ def _search(masks: list[int], n: int, k: int):
             common_cache[m] = r
         return r
 
-    def sig(cmask: int, s: int) -> int:
-        return masks[(cmask & -cmask).bit_length() - 1] & ~s
+    # The neighbour mask of each class's least vertex.  Every class is a
+    # set of twins towards the vertices outside its subset, so this mask
+    # stands for all of the class there.
+    rep = [0] * (full + 1)
+    for v in range(n):
+        rep[1 << v :: 2 << v] = [masks[v]] * (1 << (n - 1 - v))
 
-    def union_products(p1: tuple, p2: tuple, s1: int, s2: int, s: int):
-        c1, c2 = list(p1), list(p2)
-        p, q = len(c1), len(c2)
-        # Only classes with equal outside signatures can fuse, so at most
-        # the multiset intersection of the two signature lists fuses.
-        sig1 = [sig(c, s) for c in c1]
-        sig2 = [sig(c, s) for c in c2]
-        unmatched = list(sig2)
-        fusable = 0
-        for x in sig1:
-            if x in unmatched:
-                unmatched.remove(x)
-                fusable += 1
-        if p + q - fusable > k:
-            return
-        compat = [
-            [sig1[i] == sig2[j] and (or_mask(c1[i]) & c2[j]) == 0 for j in range(q)]
-            for i in range(p)
-        ]
-
-        def compose(pairs: list[tuple[int, int]]) -> tuple | None:
-            used1 = used2 = 0
-            classes = []
-            for i, j in pairs:
-                classes.append(c1[i] | c2[j])
-                used1 |= 1 << i
-                used2 |= 1 << j
-            classes += [c1[i] for i in range(p) if not used1 >> i & 1]
-            classes += [c2[j] for j in range(q) if not used2 >> j & 1]
-            if len(classes) > k:
-                return None
-            # Forced joins: a class pair with a fresh cross edge must be
-            # completely adjacent in the target, else the state is dead.
-            for a in range(len(classes)):
-                xa = classes[a]
-                x1, x2 = xa & s1, xa & s2
-                for b in range(a + 1, len(classes)):
-                    yb = classes[b]
-                    y1, y2 = yb & s1, yb & s2
-                    fresh = (x1 and y2 and (or_mask(x1) & y2)) or (
-                        x2 and y1 and (or_mask(x2) & y1)
-                    )
-                    if fresh and (common_mask(xa) & yb) != yb:
-                        return None
-            return tuple(sorted(classes))
-
+    def union_products(p1, sig1, p2, sig2, s1: int, s2: int) -> list[tuple]:
+        """The partitions of s1 | s2 that the union of p1 and p2 reaches
+        with at most k classes, in matching order.  sig1 and sig2 hold each
+        class's signature outside s1 | s2."""
+        p, q = len(p1), len(p2)
+        least = p + q - k  # fused class pairs needed to fit in k classes
+        open_js = []
+        if not set(sig1).isdisjoint(sig2):
+            if least > 0:
+                # Only classes with equal signatures fuse, so at most the
+                # multiset intersection of the two signature lists does.
+                unmatched = list(sig2)
+                fusable = 0
+                for x in sig1:
+                    if x in unmatched:
+                        unmatched.remove(x)
+                        fusable += 1
+                if fusable < least:
+                    return []
+            # Class i of p1 can fuse with class j of p2 when their
+            # signatures agree, no edge joins them, and the fused class is
+            # complete to the cross neighbours that its fresh edges reach.
+            # A class of p1 is a set of twins towards s2, so its cross
+            # neighbours are whole classes of p2, and the reverse; a pair
+            # that fails here fails in every matching.
+            for j, (y, c) in enumerate(zip(sig2, p2)):
+                found = []
+                for i in range(p):
+                    if sig1[i] == y:
+                        a = p1[i]
+                        cross = rep[a] & s2 | rep[c] & s1
+                        if not rep[a] & c and not cross & ~common_mask(a | c):
+                            found.append(i)
+                if found:
+                    open_js.append((j, found))
+        if not open_js:
+            # Nothing fuses.  By the same twin argument each cross pair of
+            # classes is complete or anticomplete, so no forced join fails.
+            return [tuple(sorted(p1 + p2))] if least <= 0 else []
+        matchings: list[list[tuple[int, int]]] = []
+        _matchings(open_js, least, 0, 0, [], matchings)
         out = []
-
-        def enum(j: int, used1: int, matched: int, pairs: list[tuple[int, int]]):
-            # Even matching every remaining class cannot fit the budget.
-            if p + q - matched - (q - j) > k:
-                return
-            if j == q:
-                prod = compose(pairs)
-                if prod is not None:
-                    out.append(prod)
-                return
-            enum(j + 1, used1, matched, pairs)
-            for i in range(p):
-                if not used1 >> i & 1 and compat[i][j]:
-                    enum(j + 1, used1 | 1 << i, matched + 1, pairs + [(i, j)])
-
-        enum(0, 0, 0, [])
-        yield from out
+        for pairs in matchings:
+            fused = [(p1[i] | p2[j], rep[p1[i]] & s2 | rep[p2[j]] & s1) for i, j in pairs]
+            # Forced joins: two fused classes with a fresh cross edge must
+            # be completely adjacent in the target, else the state is dead.
+            if len(fused) > 1 and not all(
+                not cross & y or common_mask(x) & y == y for x, cross in fused for y, _ in fused
+            ):
+                continue
+            matched1 = {i for i, _ in pairs}
+            matched2 = {j for _, j in pairs}
+            classes = [x for x, _ in fused]
+            classes += [p1[i] for i in range(p) if i not in matched1]
+            classes += [p2[j] for j in range(q) if j not in matched2]
+            out.append(tuple(sorted(classes)))
+        return out
 
     states: dict[int, dict[tuple, tuple]] = {}
-    subsets = sorted(range(1, full + 1), key=lambda s: (bin(s).count("1"), s))
     for s in subsets:
+        if twins[s] > k:
+            continue
         cur: dict[tuple, tuple] = {}
-        if bin(s).count("1") == 1:
+        outside = ~s
+        if s & (s - 1) == 0:
             cur[(s,)] = ("create", s.bit_length() - 1)
         else:
+            # Splits s = s1 | s2 with the least vertex in s1, s1 descending.
             low = s & -s
-            s1 = (s - 1) & s
-            while s1:
-                if s1 & low:
-                    s2 = s ^ s1
-                    d1, d2 = states.get(s1), states.get(s2)
-                    if d1 and d2:
-                        for p1 in d1:
-                            for p2 in d2:
-                                for prod in union_products(p1, p2, s1, s2, s):
-                                    if prod not in cur:
-                                        cur[prod] = ("union", s1, p1, s2, p2)
-                        if s == full and cur:
-                            break
-                s1 = (s1 - 1) & s
+            rest = x = s ^ low
+            while x:
+                x = (x - 1) & rest
+                s1, s2 = low | x, rest ^ x
+                d1, d2 = states.get(s1), states.get(s2)
+                if not (d1 and d2):
+                    continue
+                side2 = [(p2, [rep[c] & outside for c in p2]) for p2 in d2]
+                for p1 in d1:
+                    sig1 = [rep[c] & outside for c in p1]
+                    for p2, sig2 in side2:
+                        for prod in union_products(p1, sig1, p2, sig2, s1, s2):
+                            if prod not in cur:
+                                cur[prod] = ("union", s1, p1, s2, p2)
+                if s == full and cur:
+                    break
         if s == full:
             if cur:
                 goal = next(iter(cur))
@@ -398,10 +445,13 @@ def _search(masks: list[int], n: int, k: int):
         while qi < len(queue):
             part = queue[qi]
             qi += 1
+            sg = [rep[c] & outside for c in part]
+            if len(set(sg)) == len(sg):
+                continue
             lst = list(part)
             for a in range(len(lst)):
                 for b in range(a + 1, len(lst)):
-                    if sig(lst[a], s) == sig(lst[b], s):
+                    if sg[a] == sg[b]:
                         merged = tuple(
                             sorted(
                                 [lst[x] for x in range(len(lst)) if x not in (a, b)]
@@ -475,6 +525,9 @@ def _reconstruct(goal_key, states, or_mask, k: int) -> tuple[KExpression, list[i
         return e, out
 
     expr, _ = build(*goal_key)
+    # build refers to itself; dropping it frees the search states now rather
+    # than at the next cycle collection.
+    del build
     return expr, leaves
 
 
@@ -582,8 +635,9 @@ def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list
         return max(k_sub, k_quo), expr, leaves
     # Prime on n > 2 vertices: connected and co-connected, so an induced P4
     # and width >= 3 (Corneil, Perl & Stewart 1985; Courcelle & Olariu 2000).
+    order = _subset_order(masks, n)
     for k in range(3 if n > 2 else 1, k_max + 1):
-        found = _search(masks, n, k)
+        found = _search(masks, n, k, order)
         if found is not None:
             return k, *_reconstruct(*found, k)
     return None

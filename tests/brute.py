@@ -157,3 +157,10 @@ def brute_is_induced_embedding(host: Graph, pattern: Graph, mapping: dict[int, i
         for i, a in enumerate(pv)
         for b in pv[i + 1 :]
     )
+
+
+def brute_twin_classes(g: Graph, subset: set[int]) -> int:
+    """How many distinct neighbourhoods outside ``subset`` its vertices
+    have: the least number of classes of twins towards the rest."""
+    inside = set(subset)
+    return len({g.neighbors(v) - inside for v in inside})

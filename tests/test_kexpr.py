@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -32,7 +33,7 @@ from cliquewidth import (
 )
 from cliquewidth.cli import main
 from cliquewidth.graphs import bit_adjacency
-from brute import brute_has_module, random_graph
+from brute import brute_has_module, brute_twin_classes, random_graph
 from cw_oracle import naive_clique_width
 
 
@@ -296,9 +297,9 @@ def test_solver_searches_only_prime_graphs(monkeypatch, rng):
     searched = set()
     search = kexpr_module._search
 
-    def recording(masks, n, k):
+    def recording(masks, n, k, *order):
         searched.add((tuple(masks), n))
-        return search(masks, n, k)
+        return search(masks, n, k, *order)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     assert clique_width_exact(realize_text("K3+7P1"))[0] == 2
@@ -320,9 +321,9 @@ def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
     levels = []
     search = kexpr_module._search
 
-    def recording(masks, n, k):
+    def recording(masks, n, k, *order):
         levels.append((n, k))
-        return search(masks, n, k)
+        return search(masks, n, k, *order)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     graphs = [realize_text(t) for t in ("P4", "C5", "C7", "K3+7P1", "P1")]
@@ -349,6 +350,37 @@ def test_decomposed_width_matches_whole_graph_search():
         k, expr = clique_width_exact(g)
         assert k == undecomposed_width(g)
         assert width(expr) == k and verify_expression(expr, g)
+
+
+def test_search_states_are_twin_classes():
+    # Every class of a stored state on S is a set of twins towards V - S,
+    # so a state on S has at least t(S) classes and none is stored where
+    # t(S) > k.  The search skips those subsets on this ground alone.
+    rng = random.Random(11)
+    skipped = 0
+    for _ in range(16):
+        n = rng.randint(3, 8)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        _, _, masks = bit_adjacency(g)
+        for k in range(1, kexpr_module.KMAX_LIMIT + 1):
+            found = kexpr_module._search(masks, n, k)
+            if found is None:
+                continue
+            _, states, _ = found
+            for s in range(1, 1 << n):
+                subset = {v for v in range(n) if s >> v & 1}
+                parts = states.get(s)
+                if brute_twin_classes(g, subset) > k:
+                    skipped += 1
+                    assert not parts
+                    continue
+                for part in parts or ():
+                    classes = [[v for v in subset if c >> v & 1] for c in part]
+                    assert len(classes) <= k
+                    assert sorted(v for members in classes for v in members) == sorted(subset)
+                    for members in classes:
+                        assert len({g.neighbors(v) - subset for v in members}) == 1
+    assert skipped > 0
 
 
 # Witnesses of prime graphs, as printed before decomposition was added.
@@ -385,3 +417,40 @@ def test_prime_witnesses_match_golden(tmp_path, capsys):
         path.write_text(to_edge_list_text(g))
         assert main(["clique-width", str(path)]) == 0
         assert capsys.readouterr().out == expected
+
+
+def golden_corpus() -> list[Graph]:
+    """Seeded prime and decomposable graphs on 5..9 vertices."""
+    rng = random.Random(2014)
+    graphs = []
+    for n, count in zip(range(5, 10), (4, 6, 10, 16, 16)):
+        primes = 0
+        while primes < count:
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            if not brute_has_module(g):
+                graphs.append(g)
+                primes += 1
+        if n < 7:
+            graphs += [blow_up(rng, realize_text(q), n) for q in ("P4", "C5", "P4")]
+            graphs.append(random_cograph(rng, n))
+        else:
+            kinds = [k for k in DECOMPOSABLE_KINDS if n >= 8 or k not in ("C7", "nested")]
+            graphs += [decomposable_graph(rng, rng.choice(kinds), n) for _ in range(4)]
+    return graphs
+
+
+# SHA-256 of every result and printed witness over golden_corpus() at
+# k_max = 2, 3 and 6, recorded before the solver's union kernel was rewritten.
+SOLVER_GOLDEN_DIGEST = "e6bc01fc8eec9f488ae28a181e6d7a734552a2ecd0294bd2fe1b6f9eb3a579ad"
+
+
+def test_solver_witnesses_match_golden_digest():
+    lines = []
+    for g in golden_corpus():
+        for k_max in (2, 3, 6):
+            found = clique_width_exact(g, k_max)
+            shown = "None" if found is None else f"{found[0]} {print_expression(found[1])}"
+            lines.append(f"{g.n} {sorted(g.edges())} k_max={k_max}: {shown}")
+    assert any(line.endswith("None") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SOLVER_GOLDEN_DIGEST
