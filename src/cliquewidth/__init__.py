@@ -51,11 +51,9 @@ _EXPORTS = {
         "is_free",
     ),
     "recognition": (
-        "ClassProfile",
         "GenerationBudgetError",
         "alpha",
         "bipartite_class_bounded",
-        "class_profile",
         "clique_cover_exact",
         "find_induced_cycle",
         "find_odd_hole",

@@ -1,22 +1,41 @@
-"""Boundedness certificates: model, generators, and independent verifier.
+"""Certifiers: boundedness certificates for three diamond-free classes.
 
-A certificate is a tree of clique-width-boundedness-preserving reduction
-steps (bounded vertex deletions, subgraph / bipartite complementations,
-degree-1 pruning, splitting along component boundaries) whose leaves land
-in base classes of known bounded clique-width.  The verifier replays every
-step from the root graph and re-checks every leaf membership from scratch.
+Each certifier follows the paper's proof for its class and records the
+reduction steps it takes as a certificate (see ``certificate``), which the
+independent verifier there replays.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
 
+# certificate_from_json, certificate_to_json and verify_certificate are
+# re-exported: bench/ calls them through this module.
+from .certificate import (  # noqa: F401
+    BIPARTITE_H_FREE,
+    CHORDAL_DIAMOND_FREE,
+    DISJOINT_CLIQUES,
+    FOREST,
+    K3_K13P2_FREE,
+    MAX_DEGREE_2,
+    BaseLeaf,
+    BipartiteComplementStep,
+    Certificate,
+    DeleteVerticesStep,
+    Node,
+    PruneDegreeOneStep,
+    SplitComponentsStep,
+    SubgraphComplementStep,
+    certificate_from_json,
+    certificate_root,
+    certificate_to_json,
+    verify_certificate,
+)
 from .graphs import (
     Graph,
     bipartite_complement,
     components,
     delete_vertices,
+    find_induced_p3,
     induced_subgraph,
     is_bipartite,
     is_forest,
@@ -27,36 +46,14 @@ from .namedgraphs import parse_spec, realize
 from .recognition import (
     SizeLimitError,
     alpha,
-    bipartite_class_bounded,
     clique_cover_exact,
     find_induced_cycle,
     is_chordal,
     is_perfect_desk,
 )
-from .search import Embedding, FreenessWitness, contains_induced, fingerprint, is_free
+from .search import Embedding, FreenessWitness, contains_induced, is_free
 
 DESK_LIMIT = 16
-
-
-# Every justification the certifiers write on a vertex deletion.  The
-# verifier rejects any other, so a certificate cannot delete vertices on a
-# made-up ground.
-DELETE_JUSTIFICATIONS = frozenset(
-    {
-        "clique-independent-separators",
-        "clique-vertices-with-outside-neighbours",
-        "common-neighbours-of-nonconsecutive-cycle-pair",
-        "consecutive-pair-common-neighbours",
-        "cover-clique-below-size-threshold",
-        "cross-attached-pendants",
-        "cross-complete-vertices",
-        "cycle-vertices",
-        "opposite-pendant-pair",
-        "shared-attachment-hub",
-        "single-cycle-neighbour-vertices",
-        "small-class",
-    }
-)
 
 
 class NotInClassError(ValueError):
@@ -72,376 +69,6 @@ class InternalContradictionError(AssertionError):
 
     Reaching this on an input that passed the class membership check means
     the implementation (not the input) is wrong."""
-
-
-# ---------------------------------------------------------------------------
-# Certificate model.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Fingerprint:
-    n: int
-    m: int
-    hash: str
-
-
-@dataclass(frozen=True)
-class BaseLeaf:
-    kind: str
-    h: str | None = None
-    expression: str | None = None
-
-
-@dataclass(frozen=True)
-class DeleteVerticesStep:
-    vertices: tuple[int, ...]
-    justification: str
-    stated_bound: int
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class SubgraphComplementStep:
-    vertices: tuple[int, ...]
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class BipartiteComplementStep:
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class PruneDegreeOneStep:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class SplitComponentsStep:
-    parts: tuple[tuple[int, ...], ...]
-    children: tuple["Node", ...]
-
-
-Node = (
-    BaseLeaf
-    | DeleteVerticesStep
-    | SubgraphComplementStep
-    | BipartiteComplementStep
-    | PruneDegreeOneStep
-    | SplitComponentsStep
-)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    root: Fingerprint
-    step: Node
-
-
-DISJOINT_CLIQUES = "disjoint_cliques"
-MAX_DEGREE_2 = "max_degree_2"
-FOREST = "forest"
-BIPARTITE_H_FREE = "bipartite_h_free"
-CHORDAL_DIAMOND_FREE = "chordal_diamond_free"
-K3_K13P2_FREE = "k3_k13p2_free"
-EXPLICIT_EXPRESSION = "explicit_expression"
-
-# Numeric clique-width bounds for the leaf kinds that have one.
-LEAF_WIDTH_BOUNDS = {
-    DISJOINT_CLIQUES: 2,
-    FOREST: 3,
-    MAX_DEGREE_2: 4,
-    CHORDAL_DIAMOND_FREE: 3,
-}
-
-
-def certificate_root(g: Graph) -> Fingerprint:
-    return Fingerprint(*fingerprint(g))
-
-
-# --- JSON -------------------------------------------------------------------
-
-def _node_to_obj(node: Node) -> dict:
-    if isinstance(node, BaseLeaf):
-        obj: dict = {"base": node.kind}
-        if node.h is not None:
-            obj["h"] = node.h
-        if node.expression is not None:
-            obj["expression"] = node.expression
-        return obj
-    if isinstance(node, DeleteVerticesStep):
-        return {
-            "op": "delete_vertices",
-            "vertices": list(node.vertices),
-            "justification": node.justification,
-            "stated_bound": node.stated_bound,
-            "children": [_node_to_obj(node.child)],
-        }
-    if isinstance(node, SubgraphComplementStep):
-        return {
-            "op": "subgraph_complement",
-            "vertices": list(node.vertices),
-            "children": [_node_to_obj(node.child)],
-        }
-    if isinstance(node, BipartiteComplementStep):
-        return {
-            "op": "bipartite_complement",
-            "x": list(node.x),
-            "y": list(node.y),
-            "children": [_node_to_obj(node.child)],
-        }
-    if isinstance(node, PruneDegreeOneStep):
-        return {"op": "prune_degree_one", "children": [_node_to_obj(node.child)]}
-    return {
-        "op": "split_components",
-        "parts": [list(p) for p in node.parts],
-        "children": [_node_to_obj(c) for c in node.children],
-    }
-
-
-# The JSON kind of each certificate field: a type, or [kind] for a list.
-_FIELD_KINDS = {
-    **dict.fromkeys(("root", "step"), (dict, "an object")),
-    **dict.fromkeys(("n", "m", "stated_bound"), (int, "an integer")),
-    **dict.fromkeys(("hash", "op", "justification", "base", "h", "expression"), (str, "a string")),
-    **dict.fromkeys(("vertices", "x", "y"), ([int], "a list of integers")),
-    "parts": ([[int]], "a list of integer lists"),
-    "children": ([dict], "a list of objects"),
-}
-
-
-def _is_kind(value: object, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_kind(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _field(obj: dict, key: str, optional: bool = False):
-    """``obj[key]`` checked against its kind; an optional field may be
-    absent or null."""
-    if obj.get(key) is None and optional:
-        return None
-    if key not in obj:
-        raise ValueError(f"certificate field {key!r} is missing")
-    kind, name = _FIELD_KINDS[key]
-    if not _is_kind(obj[key], kind):
-        raise ValueError(f"certificate field {key!r} must be {name}")
-    return obj[key]
-
-
-def _node_from_obj(obj: dict) -> Node:
-    if "base" in obj:
-        return BaseLeaf(
-            _field(obj, "base"),
-            _field(obj, "h", optional=True),
-            _field(obj, "expression", optional=True),
-        )
-    op = _field(obj, "op")
-    children = [_node_from_obj(c) for c in _field(obj, "children")]
-    if op == "split_components":
-        return SplitComponentsStep(
-            tuple(tuple(p) for p in _field(obj, "parts")), tuple(children)
-        )
-    if op not in ("delete_vertices", "subgraph_complement", "bipartite_complement", "prune_degree_one"):
-        raise ValueError(f"unknown certificate op {op!r}")
-    if not children:
-        raise ValueError(f"certificate {op} step has no child")
-    if op == "delete_vertices":
-        return DeleteVerticesStep(
-            tuple(_field(obj, "vertices")),
-            _field(obj, "justification"),
-            _field(obj, "stated_bound"),
-            children[0],
-        )
-    if op == "subgraph_complement":
-        return SubgraphComplementStep(tuple(_field(obj, "vertices")), children[0])
-    if op == "bipartite_complement":
-        return BipartiteComplementStep(
-            tuple(_field(obj, "x")), tuple(_field(obj, "y")), children[0]
-        )
-    return PruneDegreeOneStep(children[0])
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    obj = {
-        "version": "v1",
-        "root": {"n": cert.root.n, "m": cert.root.m, "hash": cert.root.hash},
-        "step": _node_to_obj(cert.step),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def certificate_from_json(text: str) -> Certificate:
-    """Parse a ``"v1"`` certificate; malformed input raises ValueError."""
-    try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("certificate must be a JSON object")
-        if obj.get("version") != "v1":
-            raise ValueError(f"unsupported certificate version {obj.get('version')!r}")
-        root = _field(obj, "root")
-        return Certificate(
-            Fingerprint(_field(root, "n"), _field(root, "m"), _field(root, "hash")),
-            _node_from_obj(_field(obj, "step")),
-        )
-    except RecursionError:
-        raise ValueError("certificate is nested too deeply") from None
-
-
-# ---------------------------------------------------------------------------
-# Verifier.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class VerificationResult:
-    ok: bool
-    failures: list[str]
-    leaves: list[tuple[BaseLeaf, Graph]]
-
-
-def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> None:
-    if leaf.kind == DISJOINT_CLIQUES:
-        for v in g.vertices:
-            nbrs = sorted(g.neighbors(v))
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1 :]:
-                    if not g.has_edge(a, b):
-                        failures.append(f"{path}: component is not a clique near {v}")
-                        return
-    elif leaf.kind == MAX_DEGREE_2:
-        if g.max_degree() > 2:
-            failures.append(f"{path}: maximum degree {g.max_degree()} exceeds 2")
-    elif leaf.kind == FOREST:
-        if not is_forest(g):
-            failures.append(f"{path}: leaf graph has a cycle")
-    elif leaf.kind == BIPARTITE_H_FREE:
-        if leaf.h is None:
-            failures.append(f"{path}: bipartite leaf missing its forbidden graph")
-            return
-        ok, _ = is_bipartite(g)
-        if not ok:
-            failures.append(f"{path}: leaf graph is not bipartite")
-            return
-        if not bipartite_class_bounded(leaf.h):
-            failures.append(f"{path}: {leaf.h}-free bipartite graphs are not a bounded class")
-            return
-        free, witness = is_free(g, [leaf.h])
-        if not free:
-            failures.append(f"{path}: leaf graph contains an induced {witness.spec_text}")
-    elif leaf.kind == CHORDAL_DIAMOND_FREE:
-        chordal, _ = is_chordal(g)
-        if not chordal:
-            failures.append(f"{path}: leaf graph is not chordal")
-            return
-        free, _ = is_free(g, ["diamond"])
-        if not free:
-            failures.append(f"{path}: leaf graph contains a diamond")
-    elif leaf.kind == K3_K13P2_FREE:
-        free, witness = is_free(g, ["K3", "3P1+P2"])
-        if not free:
-            failures.append(f"{path}: leaf graph contains an induced {witness.spec_text}")
-    elif leaf.kind == EXPLICIT_EXPRESSION:
-        from .kexpr import parse_expression, verify_expression
-
-        if leaf.expression is None:
-            failures.append(f"{path}: explicit leaf missing its expression")
-            return
-        try:
-            try:
-                expr = parse_expression(leaf.expression)
-            except ValueError as exc:
-                failures.append(f"{path}: bad expression: {exc}")
-                return
-            if not verify_expression(expr, g):
-                failures.append(f"{path}: expression does not evaluate to the leaf graph")
-        except RecursionError:
-            failures.append(f"{path}: expression is nested too deeply to check")
-    else:
-        failures.append(f"{path}: unknown leaf kind {leaf.kind!r}")
-
-
-def _replay(
-    g: Graph, node: Node, path: str, failures: list[str], leaves: list[tuple[BaseLeaf, Graph]]
-) -> None:
-    if isinstance(node, BaseLeaf):
-        _check_leaf(g, node, path, failures)
-        leaves.append((node, g))
-        return
-    if isinstance(node, DeleteVerticesStep):
-        missing = [v for v in node.vertices if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: deleted vertices {missing} do not exist")
-            return
-        if len(node.vertices) > node.stated_bound:
-            failures.append(
-                f"{path}: deletes {len(node.vertices)} vertices, stated bound {node.stated_bound}"
-            )
-            return
-        if node.justification not in DELETE_JUSTIFICATIONS:
-            failures.append(f"{path}: unknown justification {node.justification!r}")
-            return
-        _replay(delete_vertices(g, node.vertices), node.child, path + ".child", failures, leaves)
-        return
-    if isinstance(node, SubgraphComplementStep):
-        missing = [v for v in node.vertices if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: complemented vertices {missing} do not exist")
-            return
-        _replay(
-            subgraph_complement(g, node.vertices), node.child, path + ".child", failures, leaves
-        )
-        return
-    if isinstance(node, BipartiteComplementStep):
-        missing = [v for v in (*node.x, *node.y) if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: complemented vertices {missing} do not exist")
-            return
-        if set(node.x) & set(node.y):
-            failures.append(f"{path}: bipartite complement sets overlap")
-            return
-        _replay(
-            bipartite_complement(g, node.x, node.y), node.child, path + ".child", failures, leaves
-        )
-        return
-    if isinstance(node, PruneDegreeOneStep):
-        _replay(prune_degree_one(g), node.child, path + ".child", failures, leaves)
-        return
-    # SplitComponentsStep
-    fuse = [v for part in node.parts for v in part]
-    if sorted(fuse) != list(g.vertices):
-        failures.append(f"{path}: parts do not partition the current vertex set")
-        return
-    if len(node.parts) != len(node.children):
-        failures.append(f"{path}: {len(node.parts)} parts but {len(node.children)} children")
-        return
-    part_of: dict[int, int] = {}
-    for i, part in enumerate(node.parts):
-        for v in part:
-            part_of[v] = i
-    for u, v in g.edges():
-        if part_of[u] != part_of[v]:
-            failures.append(f"{path}: edge ({u},{v}) crosses the component split")
-            return
-    for i, (part, child) in enumerate(zip(node.parts, node.children)):
-        _replay(
-            induced_subgraph(g, part), child, f"{path}.children[{i}]", failures, leaves
-        )
-
-
-def verify_certificate(g: Graph, cert: Certificate) -> VerificationResult:
-    """Replay all steps from the root graph and re-check every leaf."""
-    failures: list[str] = []
-    leaves: list[tuple[BaseLeaf, Graph]] = []
-    root = certificate_root(g)
-    if root != cert.root:
-        failures.append(
-            f"root fingerprint mismatch: graph {root}, certificate {cert.root}"
-        )
-        return VerificationResult(False, failures, leaves)
-    _replay(g, cert.step, "step", failures, leaves)
-    return VerificationResult(not failures, failures, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,12 +679,8 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
         if len(work.neighbors(v) & x_clique) > 1:
             raise _contradiction("an outside vertex sees two maximal-clique vertices")
     rest = induced_subgraph(work, outside)
-    for mid in rest.vertices:
-        nbrs = sorted(rest.neighbors(mid))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if not rest.has_edge(a, b):
-                    raise _contradiction("the graph minus the clique holds a P3")
+    if find_induced_p3(rest) is not None:
+        raise _contradiction("the graph minus the clique holds a P3")
     comps = components(rest)
     if len(comps) == 0:
         return steps.close(BaseLeaf(DISJOINT_CLIQUES))
@@ -1307,23 +930,3 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             _split(work, tree_part, tree_node, rest_part, BaseLeaf(BIPARTITE_H_FREE, h="P2+P3"))
         )
     return steps.close(tree_terminal(work))
-
-
-# ---------------------------------------------------------------------------
-# Pair classification.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairStatus:
-    s: int
-    t: int
-    status: str  # "Bounded" | "Unbounded"
-
-
-def classify_pair(s: int, t: int) -> PairStatus:
-    """Boundedness of the (sP1+P2, co(tP1+P2))-free family: bounded exactly
-    when s <= 1 or t <= 1 or s + t <= 5."""
-    if s < 0 or t < 0:
-        raise ValueError("s and t must be non-negative")
-    bounded = s <= 1 or t <= 1 or s + t <= 5
-    return PairStatus(s, t, "Bounded" if bounded else "Unbounded")

@@ -92,6 +92,7 @@ _CERTIFIERS = {
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from . import certify as cert
+    from .certificate import certificate_to_json, verify_certificate
 
     g = _read_graph(args.graph, args.format)
     certifier = getattr(cert, _CERTIFIERS[args.forbidden])
@@ -105,27 +106,27 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         return 1
     except SizeLimitError as exc:
         raise CliError(str(exc)) from exc
-    verdict = cert.verify_certificate(g, certificate)
+    verdict = verify_certificate(g, certificate)
     if not verdict.ok:
         for failure in verdict.failures:
             print(f"self-verification failed: {failure}", file=sys.stderr)
         return 2
-    _write_out(args.out, cert.certificate_to_json(certificate))
+    _write_out(args.out, certificate_to_json(certificate))
     if args.out:
         print(f"certificate written to {args.out} (self-verified)")
     return 0
 
 
 def _cmd_verify_certificate(args: argparse.Namespace) -> int:
-    from . import certify as cert
+    from .certificate import certificate_from_json, verify_certificate
 
     g = _read_graph(args.graph, args.format)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
-            certificate = cert.certificate_from_json(fh.read())
+            certificate = certificate_from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load certificate: {exc}") from exc
-    verdict = cert.verify_certificate(g, certificate)
+    verdict = verify_certificate(g, certificate)
     if verdict.ok:
         print(f"certificate valid ({len(verdict.leaves)} leaves)")
         return 0
@@ -186,7 +187,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_pair(args: argparse.Namespace) -> int:
-    from .certify import classify_pair
+    from .classify import classify_pair
 
     status = classify_pair(args.s, args.t)
     print(status.status)

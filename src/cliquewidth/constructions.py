@@ -17,7 +17,6 @@ from .graphs import (
     GraphError,
     bipartite_complement,
     is_bipartite,
-    parse_edge_list_text,
     subdivide,
     to_edge_list_text,
 )
@@ -190,7 +189,3 @@ def to_partitioned_text(pg: PartitionedGraph) -> str:
         ids = " ".join(str(idx[v]) for v in sorted(pg.parts[name]))
         lines.append(f"PART {name}: {ids}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def from_partitioned_text(text: str) -> PartitionedGraph:
-    return PartitionedGraph(*parse_edge_list_text(text))

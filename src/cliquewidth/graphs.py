@@ -309,6 +309,19 @@ def find_cycle(g: Graph) -> list[int] | None:
     return None
 
 
+def find_induced_p3(g: Graph) -> tuple[int, int, int] | None:
+    """The first induced P3 ``(u, mid, v)``: a vertex ``mid`` with two
+    non-adjacent neighbours ``u < v``, scanning ``mid`` in vertex order.
+    None exactly when every component is a clique."""
+    for mid in g.vertices:
+        nbrs = sorted(g.neighbors(mid))
+        for i, u in enumerate(nbrs):
+            for v in nbrs[i + 1 :]:
+                if not g.has_edge(u, v):
+                    return u, mid, v
+    return None
+
+
 def bit_adjacency(g: Graph) -> tuple[list[int], dict[int, int], list[int]]:
     """Vertex list, id->index map, and neighbour bitmasks (index-based)."""
     verts = list(g.vertices)

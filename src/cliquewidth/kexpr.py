@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeLimitError, bit_adjacency, components, find_cycle
+from .graphs import Graph, SizeLimitError, bit_adjacency, components, find_cycle, find_induced_p3
 from .search import Embedding, are_isomorphic
 
 SOLVER_LIMIT = 10
@@ -685,17 +685,13 @@ def expr_disjoint_cliques(g: Graph) -> KExpression:
     edgeless).  Raises with an induced-P3 witness otherwise."""
     if g.n == 0:
         raise ExpressionPreconditionError("empty graph has no expression", None)
-    # A component that is not a clique has a vertex with two non-adjacent
-    # neighbours, which is an induced P3.
-    for mid in g.vertices:
-        nbrs = sorted(g.neighbors(mid))
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1 :]:
-                if not g.has_edge(u, v):
-                    witness = Embedding(((0, u), (1, mid), (2, v)))
-                    raise ExpressionPreconditionError(
-                        f"component is not a clique: P3 on {u},{mid},{v}", witness
-                    )
+    p3 = find_induced_p3(g)
+    if p3 is not None:
+        u, mid, v = p3
+        witness = Embedding(((0, u), (1, mid), (2, v)))
+        raise ExpressionPreconditionError(
+            f"component is not a clique: P3 on {u},{mid},{v}", witness
+        )
     parts = []
     for comp in components(g):
         e: KExpression = Create(1)

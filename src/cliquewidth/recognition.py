@@ -296,31 +296,6 @@ def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ClassProfile:
-    alpha: int
-    omega: int
-    clique_cover: tuple[frozenset[int], ...]
-    chordal: bool
-    hole_witness: tuple[int, ...] | None
-    perfect_desk: bool
-    perfectness_witness: PerfectnessWitness | None
-
-
-def class_profile(g: Graph) -> ClassProfile:
-    """All desk-scale invariants at once, cross-checked where possible."""
-    a = alpha(g)
-    w = omega(g)
-    cover = tuple(clique_cover_exact(g))
-    chordal, hole = is_chordal(g)
-    perfect, pw = is_perfect_desk(g)
-    if perfect and len(cover) != a:
-        raise AssertionError(
-            f"perfect graph with cover {len(cover)} != alpha {a}"
-        )
-    return ClassProfile(a, w, cover, chordal, hole, perfect, pw)
-
-
 def generate_free(
     n: int,
     specs: list[NamedGraphSpec | str],

@@ -32,18 +32,20 @@ from cliquewidth import (
     verify_expression,
     width,
 )
-from cliquewidth.certify import (
+from cliquewidth.certificate import (
     Certificate,
     LEAF_WIDTH_BOUNDS,
     certificate_from_json,
     certificate_to_json,
+    verify_certificate,
+)
+from cliquewidth.certify import (
     certify_diamond_2p1p3,
     certify_diamond_3p1p2,
     certify_diamond_p2p3,
-    classify_pair,
     reduce_by_clique_cover,
-    verify_certificate,
 )
+from cliquewidth.classify import classify_pair
 from cliquewidth.constructions import (
     complemented_wall,
     gi_reduce,

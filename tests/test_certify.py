@@ -15,32 +15,32 @@ from cliquewidth import (
     to_edge_list_text,
 )
 import cliquewidth.certify as certify_module
-from cliquewidth.certify import (
+from cliquewidth.certificate import (
     BaseLeaf,
-    Branch,
     Certificate,
     DELETE_JUSTIFICATIONS,
     DeleteVerticesStep,
-    InternalContradictionError,
     LEAF_WIDTH_BOUNDS,
-    NotInClassError,
-    PairStatus,
     SplitComponentsStep,
     SubgraphComplementStep,
-    BipartiteComplementStep,
     PruneDegreeOneStep,
     certificate_from_json,
     certificate_root,
     certificate_to_json,
+    verify_certificate,
+)
+from cliquewidth.certify import (
+    Branch,
+    InternalContradictionError,
+    NotInClassError,
     certify_diamond_2p1p3,
     certify_diamond_3p1p2,
     certify_diamond_p2p3,
-    classify_pair,
     clique_independent_separator,
     clique_or_independence_branch,
     reduce_by_clique_cover,
-    verify_certificate,
 )
+from cliquewidth.classify import PairStatus, classify_pair
 from cliquewidth.cli import main
 from conftest import sample_members
 
@@ -224,6 +224,20 @@ def test_reduce_matching_between_big_cliques():
     assert result.leaves[0][0].kind == "max_degree_2"
     leaf_graph = result.leaves[0][1]
     assert leaf_graph.max_degree() <= 2
+
+
+def test_reduce_cross_complete_vertex():
+    # Two 9-cliques, with vertex 0 also joined to all of the second: the
+    # one justification that no certifier reaches on small members.
+    g, parts = cliques_graph([9, 9], cross=[(0, v) for v in range(9, 18)])
+    cert = reduce_by_clique_cover(g, parts)
+    assert isinstance(cert, Certificate)
+    first = cert.step
+    assert isinstance(first, DeleteVerticesStep)
+    assert (first.vertices, first.justification, first.stated_bound) == (
+        (0,), "cross-complete-vertices", 2
+    )
+    assert verify_certificate(g, cert).ok
 
 
 def test_reduce_rejects_bad_cover():
@@ -558,7 +572,8 @@ def golden_corpus():
     class.  Every certifier runs on every graph, so the members of one class
     add non-members of the others.  Together they reach every deletion
     justification except ``cross-complete-vertices``, which needs cover
-    cliques above the size threshold."""
+    cliques above the size threshold; ``test_reduce_cross_complete_vertex``
+    reaches that one, outside this corpus."""
     graphs = [build_graph(n, edges) for _, _, n, edges, _ in STEP_SITES]
     graphs += [realize_text(t) for t in ("diamond", "2P2+P4", "3P1+P2", "2P1+P3", "P2+P3", "P7")]
     for seed, h2 in enumerate(sorted(CERTIFIERS), start=128):

@@ -7,15 +7,15 @@ from cliquewidth import parse_spec, realize
 from cliquewidth import certify as certify_module
 from cliquewidth import recognition as recognition_module
 from cliquewidth import search as search_module
-from cliquewidth.certify import (
+from cliquewidth.certificate import (
     BaseLeaf,
     Certificate,
-    InternalContradictionError,
     certificate_from_json,
     certificate_root,
     certificate_to_json,
     verify_certificate,
 )
+from cliquewidth.certify import InternalContradictionError
 from cliquewidth.cli import main
 from cliquewidth.kexpr import parse_expression
 from cliquewidth.namedgraphs import spec_order

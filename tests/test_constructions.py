@@ -16,7 +16,6 @@ from cliquewidth import (
 from cliquewidth.constructions import (
     PartitionedGraph,
     complemented_wall,
-    from_partitioned_text,
     gi_reduce,
     subdivide,
     to_partitioned_text,
@@ -24,6 +23,7 @@ from cliquewidth.constructions import (
     verify_gi_profile,
     wall,
 )
+from cliquewidth.graphs import parse_edge_list_text
 from brute import random_graph
 
 
@@ -223,7 +223,7 @@ def test_wall_truncation_widths_non_decreasing():
 def test_partitioned_text_round_trip():
     pg = complemented_wall(2)
     text = to_partitioned_text(pg)
-    again = from_partitioned_text(text)
+    again = PartitionedGraph(*parse_edge_list_text(text))
     assert to_partitioned_text(again) == text
     assert again.graph.n == pg.graph.n
     assert {len(p) for p in again.parts.values()} == {

@@ -28,7 +28,12 @@ from cliquewidth import (
     to_edge_list_text,
     to_graph6,
 )
-from cliquewidth.graphs import bit_adjacency, delete_vertices, parse_edge_list_text
+from cliquewidth.graphs import (
+    bit_adjacency,
+    delete_vertices,
+    find_induced_p3,
+    parse_edge_list_text,
+)
 from brute import random_graph, two_core
 
 
@@ -223,6 +228,21 @@ def test_bipartite_complement_involution(g, mask_x, mask_y):
     xs = [v for i, v in enumerate(g.vertices) if mask_x >> i & 1]
     ys = [v for i, v in enumerate(g.vertices) if (mask_y >> i & 1) and v not in set(xs)]
     assert bipartite_complement(bipartite_complement(g, xs, ys), xs, ys) == g
+
+
+def test_find_induced_p3_first_in_scan_order(rng):
+    assert find_induced_p3(realize_text("K3+K2+P1")) is None
+    # The paw 0-1-2 triangle with pendant 3 on 2: vertex 2 is the first
+    # with two non-adjacent neighbours.
+    assert find_induced_p3(build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])) == (0, 2, 3)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
+        p3 = find_induced_p3(g)
+        cliques = all(g.has_edge(u, v) for c in components(g) for u in c for v in c if u < v)
+        assert (p3 is None) == cliques
+        if p3 is not None:
+            u, mid, v = p3
+            assert g.has_edge(u, mid) and g.has_edge(mid, v) and not g.has_edge(u, v)
 
 
 def test_prune_degree_one_examples():

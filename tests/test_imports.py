@@ -14,12 +14,14 @@ import pytest
 
 import cliquewidth
 from cliquewidth import realize_text, to_edge_list_text
-from cliquewidth.certify import certificate_to_json, certify_diamond_2p1p3
+from cliquewidth.certificate import certificate_to_json
+from cliquewidth.certify import certify_diamond_2p1p3
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cliquewidth"
 
-# The package's exports before they became lazy.
+# The package's exports before they became lazy, less the deleted
+# ``ClassProfile`` and ``class_profile``.
 EXPORTS = [
     "Graph", "GraphError", "bipartite_complement", "build_graph", "complement",
     "components", "delete_vertices", "disjoint_union", "from_edge_list_text",
@@ -27,9 +29,9 @@ EXPORTS = [
     "prune_degree_one", "subgraph_complement", "to_edge_list_text", "to_graph6",
     "NamedGraphSpec", "SpecSyntaxError", "parse_spec", "print_spec", "realize",
     "realize_text", "Embedding", "FreenessWitness", "are_isomorphic",
-    "contains_induced", "fingerprint", "is_free", "ClassProfile",
+    "contains_induced", "fingerprint", "is_free",
     "GenerationBudgetError", "SizeLimitError", "alpha", "bipartite_class_bounded",
-    "class_profile", "clique_cover_exact", "find_induced_cycle", "find_odd_hole",
+    "clique_cover_exact", "find_induced_cycle", "find_odd_hole",
     "generate_free", "is_chordal", "is_perfect_desk", "omega", "Create",
     "ExpressionPreconditionError", "Join", "KExpression", "KExprEvalError",
     "KExprSyntaxError", "LabelledGraph", "Rename", "Union", "clique_width_exact",
@@ -94,7 +96,7 @@ RUN_CLI = (
     f"{LOADED}\n"
     "sys.exit(status)"
 )
-CERTIFY = ["certify", "namedgraphs", "recognition", "search"]
+VERIFY = ["certificate", "namedgraphs", "recognition", "search"]
 
 
 @pytest.mark.parametrize(
@@ -105,9 +107,9 @@ CERTIFY = ["certify", "namedgraphs", "recognition", "search"]
         ("construct gi-reduce small.el", ["constructions"]),
         ("check-free member.el --spec diamond", ["namedgraphs", "search"]),
         ("clique-width member.el", ["kexpr", "namedgraphs", "search"]),
-        ("certify member.el 2P1+P3", CERTIFY),
-        ("verify-certificate member.el cert.json", CERTIFY),
-        ("classify-pair 2 3", CERTIFY),
+        ("certify member.el 2P1+P3", ["certify", *VERIFY]),
+        ("verify-certificate member.el cert.json", VERIFY),
+        ("classify-pair 2 3", ["classify"]),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
@@ -132,6 +134,48 @@ def _module_level_imports(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(tree):
+    """The package modules a module imports anywhere, function bodies
+    included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            found.update(n.partition(".")[2] for n in names if n.startswith("cliquewidth."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if node.module.split(".")[0] != "cliquewidth":
+                    continue
+                module = node.module.partition(".")[2]
+            else:
+                module = node.module
+            # "from . import graphs" names the module in its aliases.
+            found.update([module] if module else [alias.name for alias in node.names])
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        # The trusted checker; kexpr only for explicit_expression leaves.
+        ("certificate.py", {"graphs", "kexpr", "recognition", "search"}),
+        ("classify.py", set()),
+    ],
+)
+def test_checker_modules_import_no_certifier_code(name, allowed):
+    imported = _package_imports(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    assert "certify" not in imported
+    assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
+
+
+def test_certify_reexports_the_checker_itself():
+    import cliquewidth.certificate as certificate
+    import cliquewidth.certify as certify
+
+    for name in ("verify_certificate", "certificate_to_json", "certificate_from_json"):
+        assert getattr(certify, name) is getattr(certificate, name), name
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

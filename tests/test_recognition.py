@@ -6,7 +6,6 @@ from cliquewidth import (
     alpha,
     bipartite_class_bounded,
     build_graph,
-    class_profile,
     clique_cover_exact,
     complement,
     contains_induced,
@@ -247,7 +246,7 @@ def test_generate_free_size_limit():
 
 
 def test_class_profile_consistency():
-    profile = class_profile(realize_text("C6"))
-    assert profile.alpha == 3 and profile.omega == 2
-    assert not profile.chordal and profile.perfect_desk
-    assert len(profile.clique_cover) == 3
+    c6 = realize_text("C6")
+    assert alpha(c6) == 3 and omega(c6) == 2
+    assert not is_chordal(c6)[0] and is_perfect_desk(c6)[0]
+    assert len(clique_cover_exact(c6)) == 3
