@@ -44,6 +44,7 @@ from .graphs import (
 )
 from .namedgraphs import parse_spec, realize
 from .recognition import (
+    DESK_SCALE_LIMIT,
     SizeLimitError,
     alpha,
     clique_cover_exact,
@@ -52,8 +53,6 @@ from .recognition import (
     is_perfect_desk,
 )
 from .search import Embedding, FreenessWitness, contains_induced, is_free
-
-DESK_LIMIT = 16
 
 
 class NotInClassError(ValueError):
@@ -519,11 +518,8 @@ def _c4_classes(
 # Certifier for (diamond, 3P1+P2)-free graphs.
 # ---------------------------------------------------------------------------
 
-def certify_diamond_3p1p2(g: Graph, desk_limit: int = DESK_LIMIT) -> Certificate:
-    free, witness = is_free(g, ["diamond", "3P1+P2"])
-    if not free:
-        raise NotInClassError(witness)
-
+def certify_diamond_3p1p2(g: Graph) -> Certificate:
+    # The branch checks membership: co(2P1+P2) is the diamond.
     branch = clique_or_independence_branch(g, 2, 3)
     if branch is Branch.K_FREE:
         return Certificate(certificate_root(g), BaseLeaf(K3_K13P2_FREE))
@@ -539,11 +535,11 @@ def certify_diamond_3p1p2(g: Graph, desk_limit: int = DESK_LIMIT) -> Certificate
     else:
         # No induced C5 or C7 anywhere: the graph is perfect at desk scale,
         # so a minimum clique cover has alpha-many parts.
-        if g.n > desk_limit:
+        if g.n > DESK_SCALE_LIMIT:
             raise SizeLimitError(
-                f"perfectness assertion needs n <= {desk_limit}, got {g.n}"
+                f"perfectness assertion needs n <= {DESK_SCALE_LIMIT}, got {g.n}"
             )
-        perfect, pw = is_perfect_desk(g, limit=desk_limit)
+        perfect, pw = is_perfect_desk(g)
         if not perfect:
             raise _contradiction(f"expected a perfect graph, found {pw}")
         a = alpha(g)

@@ -16,7 +16,6 @@ import sys
 
 from .graphs import (
     Graph,
-    SizeLimitError,
     from_edge_list_text,
     from_graph6,
     to_edge_list_text,
@@ -68,10 +67,7 @@ def _cmd_clique_width(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.format)
     kmax = KMAX_LIMIT if args.kmax is None else args.kmax
     limit = g.n if args.unsafe_size else SOLVER_LIMIT
-    try:
-        result = clique_width_exact(g, kmax, size_limit=limit)
-    except SizeLimitError as exc:
-        raise CliError(str(exc)) from exc
+    result = clique_width_exact(g, kmax, size_limit=limit)
     if result is None:
         print(f"clique-width exceeds {kmax}")
         return 1
@@ -104,8 +100,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             f"not in class: contains {w.spec_text} on vertices {list(w.embedding.image())}"
         )
         return 1
-    except SizeLimitError as exc:
-        raise CliError(str(exc)) from exc
     verdict = verify_certificate(g, certificate)
     if not verdict.ok:
         for failure in verdict.failures:
@@ -152,10 +146,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"{kind} expects an integer height") from None
     if kind == "wall":
-        try:
-            g = wall(height)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        g = wall(height)
         text = to_edge_list_text(g) if args.format == "edgelist" else to_graph6(g) + "\n"
         _write_out(args.out, text)
         print(f"wall height {height}: {g.n} vertices, {g.m} edges")
@@ -163,10 +154,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if kind == "complemented-wall":
         if args.format == "graph6":
             raise CliError("complemented-wall output is partitioned and has no graph6 form")
-        try:
-            pg = complemented_wall(height)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        pg = complemented_wall(height)
         report = verify_complemented_wall(pg)
         _write_out(args.out, to_partitioned_text(pg))
         print(

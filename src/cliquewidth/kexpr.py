@@ -297,37 +297,25 @@ def _matchings(open_js: list[tuple[int, list[int]]], least: int, x: int, used: i
             _matchings(open_js, least, x + 1, used | 1 << i, pairs + [(i, j)], out)
 
 
-def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes] | None = None):
+def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes]):
     """Reachability over (subset, partition) states with at most k classes.
 
-    Returns ((S, goal), states, or_mask), or None when the goal is
-    unreachable.  S is the full vertex set and goal the first partition
-    reached on it; states maps each searched subset to a dict from
-    partition to the record of how it was first reached; or_mask(m) is the
-    union of the neighbourhoods of the vertices in m.  Deterministic:
-    subsets ascend by (popcount, value), partitions are sorted tuples of
-    class bitmasks, and insertion order fixes the records.
+    Returns ((S, goal), states, rep), or None when the goal is unreachable.
+    S is the full vertex set and goal the first partition reached on it;
+    states maps each searched subset to a dict from partition to the record
+    of how it was first reached; rep[m] is the neighbour mask of the least
+    vertex of m.  Deterministic: subsets ascend by (popcount, value),
+    partitions are sorted tuples of class bitmasks, and insertion order
+    fixes the records.
 
     Every class of a state on S is a set of twins towards V - S, so subsets
     with t(S) > k are skipped (see the module docstring).  ``order`` is
-    ``_subset_order(masks, n)``, computed here when not given, so that one
-    prime part shares it across its k levels.
+    ``_subset_order(masks, n)``, which one prime part shares across its k
+    levels.
     """
     full = (1 << n) - 1
-    subsets, twins = order or _subset_order(masks, n)
-    or_cache: dict[int, int] = {}
+    subsets, twins = order
     common_cache: dict[int, int] = {}
-
-    def or_mask(m: int) -> int:
-        r = or_cache.get(m)
-        if r is None:
-            r, t = 0, m
-            while t:
-                low = t & -t
-                t ^= low
-                r |= masks[low.bit_length() - 1]
-            or_cache[m] = r
-        return r
 
     def common_mask(m: int) -> int:
         r = common_cache.get(m)
@@ -436,7 +424,7 @@ def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes] | N
             if cur:
                 goal = next(iter(cur))
                 states[s] = cur
-                return (s, goal), states, or_mask
+                return (s, goal), states, rep
             return None
         # Closure under renames: merge classes whose members look the same
         # from outside s.
@@ -465,9 +453,14 @@ def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes] | N
     return None
 
 
-def _reconstruct(goal_key, states, or_mask, k: int) -> tuple[KExpression, list[int]]:
+def _reconstruct(goal_key, states, rep, k: int) -> tuple[KExpression, list[int]]:
     """The witness expression of a reached goal, and the vertex each of its
-    Create leaves stands for, in left-to-right order."""
+    Create leaves stands for, in left-to-right order.
+
+    Each class of a union operand is a set of twins towards the other
+    operand, so its least vertex's neighbour mask (``rep``) decides which
+    classes of the other side a fresh edge reaches.
+    """
     leaves: list[int] = []
 
     def build(s: int, part: tuple) -> tuple[KExpression, dict[int, int]]:
@@ -517,10 +510,7 @@ def _reconstruct(goal_key, states, or_mask, k: int) -> tuple[KExpression, list[i
             for b in range(a + 1, len(lst)):
                 yb = lst[b]
                 y1, y2 = yb & s1, yb & s2
-                fresh = (x1 and y2 and (or_mask(x1) & y2)) or (
-                    x2 and y1 and (or_mask(x2) & y1)
-                )
-                if fresh:
+                if rep[x1] & y2 or rep[x2] & y1:
                     e = Join(out[xa], out[yb], e)
         return e, out
 

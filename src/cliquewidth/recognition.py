@@ -8,6 +8,7 @@ perfectness test by explicit enumeration of induced odd holes and antiholes.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import (
@@ -68,9 +69,9 @@ def _max_independent_set(masks: list[int], cand: int) -> tuple[int, int]:
     return skip_size, skip_set
 
 
-def alpha(g: Graph, limit: int = EXACT_SCALE_LIMIT) -> int:
+def alpha(g: Graph) -> int:
     """Exact independence number."""
-    _check_limit(g, limit, "alpha")
+    _check_limit(g, EXACT_SCALE_LIMIT, "alpha")
     if g.n == 0:
         return 0
     _, _, masks = bit_adjacency(g)
@@ -78,19 +79,19 @@ def alpha(g: Graph, limit: int = EXACT_SCALE_LIMIT) -> int:
     return size
 
 
-def omega(g: Graph, limit: int = EXACT_SCALE_LIMIT) -> int:
+def omega(g: Graph) -> int:
     """Exact clique number."""
-    _check_limit(g, limit, "omega")
-    return alpha(complement(g), limit)
+    _check_limit(g, EXACT_SCALE_LIMIT, "omega")
+    return alpha(complement(g))
 
 
-def clique_cover_exact(g: Graph, limit: int = EXACT_SCALE_LIMIT) -> list[frozenset[int]]:
+def clique_cover_exact(g: Graph) -> list[frozenset[int]]:
     """Minimum partition of the vertices into cliques.
 
     Computed as an exact colouring of the complement: colour classes of the
     complement are cliques here.  Deterministic branch and bound.
     """
-    _check_limit(g, limit, "clique_cover_exact")
+    _check_limit(g, EXACT_SCALE_LIMIT, "clique_cover_exact")
     if g.n == 0:
         return []
     co = complement(g)
@@ -115,7 +116,7 @@ def clique_cover_exact(g: Graph, limit: int = EXACT_SCALE_LIMIT) -> list[frozens
 
         return assign if rec(0, 0) else None
 
-    lower = alpha(g, limit)  # a clique of the complement
+    lower = alpha(g)  # a clique of the complement
     for k in range(max(lower, 1), n + 1):
         assign = colourable(k)
         if assign is not None:
@@ -234,9 +235,9 @@ def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
     return None
 
 
-def find_odd_hole(g: Graph, min_length: int = 5) -> tuple[int, ...] | None:
-    """Shortest induced odd cycle of length >= min_length (least witness)."""
-    length = min_length if min_length % 2 == 1 else min_length + 1
+def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
+    """Shortest induced odd cycle of length >= 5 (least witness)."""
+    length = 5
     while length <= g.n:
         cyc = find_induced_cycle(g, length)
         if cyc is not None:
@@ -251,11 +252,9 @@ class PerfectnessWitness:
     vertices: tuple[int, ...]
 
 
-def is_perfect_desk(
-    g: Graph, limit: int = DESK_SCALE_LIMIT
-) -> tuple[bool, PerfectnessWitness | None]:
+def is_perfect_desk(g: Graph) -> tuple[bool, PerfectnessWitness | None]:
     """Desk-scale perfectness: no induced odd hole or odd antihole (>= 5)."""
-    _check_limit(g, limit, "is_perfect_desk")
+    _check_limit(g, DESK_SCALE_LIMIT, "is_perfect_desk")
     hole = find_odd_hole(g)
     if hole is not None:
         return False, PerfectnessWitness("odd_hole", hole)
@@ -297,30 +296,32 @@ def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
 
 
 def generate_free(
-    n: int,
+    sizes: Sequence[int],
     specs: list[NamedGraphSpec | str],
     sample_count: int,
     seed: int,
-    max_attempts: int | None = None,
 ) -> list[Graph]:
-    """Rejection-sample graphs on n vertices avoiding all named patterns.
+    """Rejection-sample graphs avoiding all named patterns.
 
-    Erdos-Renyi with the edge probability swept over 0.1..0.9 per attempt,
-    so both sparse and dense target classes get hit.  Deterministic for a
-    fixed seed; raises GenerationBudgetError when the budget runs out.
+    Each attempt draws its vertex count n from ``sizes`` and then an
+    Erdos-Renyi graph on n vertices, with the edge probability swept over
+    0.1..0.9 by attempt, so both sparse and dense target classes get hit.
+    Deterministic for a fixed seed; raises GenerationBudgetError after
+    max(2000, 500 * sample_count) attempts.
     """
-    if n > SAMPLING_LIMIT:
+    if max(sizes) > SAMPLING_LIMIT:
         raise SizeLimitError(f"generate_free limited to {SAMPLING_LIMIT} vertices")
     rng = random.Random(seed)
     sweep = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    budget = max_attempts if max_attempts is not None else max(2000, 500 * sample_count)
+    budget = max(2000, 500 * sample_count)
     out: list[Graph] = []
     attempts = 0
     while len(out) < sample_count:
         if attempts >= budget:
             raise GenerationBudgetError(sample_count, len(out), attempts)
-        p = sweep[attempts % len(sweep)]
         attempts += 1
+        n = rng.choice(sizes)
+        p = sweep[attempts % len(sweep)]
         edges = [
             (u, v)
             for u in range(n)

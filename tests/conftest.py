@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cliquewidth import Graph, build_graph, is_free
+from cliquewidth import Graph, build_graph
 
 
 @pytest.fixture()
@@ -12,27 +12,18 @@ def rng() -> random.Random:
     return random.Random(20240817)
 
 
-def sample_members(
-    specs: list[str], count: int, n_max: int, seed: int, n_min: int = 4
-) -> list[Graph]:
-    """Rejection-sample members of a hereditary class at desk scale."""
-    rng = random.Random(seed)
-    sweep = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    out: list[Graph] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 300000:
-            raise RuntimeError(f"could not sample {count} members of {specs}")
-        n = rng.randint(n_min, n_max)
-        p = sweep[attempts % len(sweep)]
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-        g = build_graph(n, edges)
-        if is_free(g, specs)[0]:
-            out.append(g)
-    return out
+def cliques_graph(sizes, cross=()):
+    """Disjoint cliques of the given sizes on consecutive vertices, plus the
+    ``cross`` edges, with the vertex set of each clique."""
+    edges = []
+    offset = 0
+    parts = []
+    for s in sizes:
+        parts.append(frozenset(range(offset, offset + s)))
+        edges += [(offset + i, offset + j) for i in range(s) for j in range(i + 1, s)]
+        offset += s
+    edges += list(cross)
+    return build_graph(offset, edges), parts
 
 
 def atlas_catalog(n_lo: int, n_hi: int) -> list[Graph]:

@@ -21,6 +21,7 @@ from cliquewidth import (
     fingerprint,
     from_edge_list_text,
     from_graph6,
+    generate_free,
     is_chordal,
     is_free,
     is_perfect_desk,
@@ -52,7 +53,7 @@ from cliquewidth.constructions import (
     verify_complemented_wall,
     verify_gi_profile,
 )
-from conftest import atlas_catalog, sample_members
+from conftest import atlas_catalog, cliques_graph
 from brute import random_graph
 from cw_oracle import naive_clique_width
 
@@ -72,7 +73,7 @@ def catalog():
 @pytest.fixture(scope="session")
 def class_members():
     return {
-        h2: sample_members(["diamond", h2], 100, 12, seed=101 + i)
+        h2: generate_free(range(4, 13), ["diamond", h2], 100, seed=101 + i)
         for i, h2 in enumerate(sorted(CERTIFIERS))
     }
 
@@ -147,18 +148,6 @@ def test_criterion_04_perfect_cover_identity():
     print("ACCEPTANCE 4: PASS - 200 perfect graphs satisfy cover size == alpha")
 
 
-def _cliques_graph(sizes, cross=()):
-    edges = []
-    offset = 0
-    parts = []
-    for s in sizes:
-        parts.append(frozenset(range(offset, offset + s)))
-        edges += [(offset + i, offset + j) for i in range(s) for j in range(i + 1, s)]
-        offset += s
-    edges += list(cross)
-    return build_graph(offset, edges), parts
-
-
 def _random_cross_matching(rng, parts, density):
     """Sparse cross edges: every vertex gets at most one in total."""
     used = set()
@@ -188,8 +177,8 @@ def test_criterion_05_clique_cover_pipeline():
             cross = []
         else:
             sizes = [rng.randint(k + 7, min(13, 40 // k)) for _ in range(k)]
-            cross = _random_cross_matching(rng, _cliques_graph(sizes)[1], rng.choice([0.0, 0.2, 0.4]))
-        g, parts = _cliques_graph(sizes, cross)
+            cross = _random_cross_matching(rng, cliques_graph(sizes)[1], rng.choice([0.0, 0.2, 0.4]))
+        g, parts = cliques_graph(sizes, cross)
         if g.n > 40 or not is_free(g, ["diamond", "2P2+P4"])[0]:
             continue
         produced += 1
@@ -201,13 +190,13 @@ def test_criterion_05_clique_cover_pipeline():
         rng2 = random.Random(500 + trial)
         count = rng2.randint(4, 5)
         sizes = [rng2.randint(count + 7, count + 9) for _ in range(count)]
-        g, parts = _cliques_graph(sizes)
+        g, parts = cliques_graph(sizes)
         a, b = rng2.sample(range(count), 2)
         planted = [
             (min(parts[a]) + i, min(parts[b]) + i)
             for i in range(rng2.randint(1, 3))
         ]
-        g, parts = _cliques_graph(sizes, planted)
+        g, parts = cliques_graph(sizes, planted)
         witness = reduce_by_clique_cover(g, parts)
         assert isinstance(witness, FreenessWitness), (sizes, planted)
         assert witness.embedding.validate(g, pattern)

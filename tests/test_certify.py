@@ -10,6 +10,7 @@ from cliquewidth import (
     SizeLimitError,
     build_graph,
     clique_width_exact,
+    generate_free,
     is_free,
     realize_text,
     to_edge_list_text,
@@ -42,7 +43,7 @@ from cliquewidth.certify import (
 )
 from cliquewidth.classify import PairStatus, classify_pair
 from cliquewidth.cli import main
-from conftest import sample_members
+from conftest import cliques_graph
 
 
 def iter_steps(node):
@@ -51,18 +52,6 @@ def iter_steps(node):
         (node.child,) if hasattr(node, "child") else ()
     ):
         yield from iter_steps(child)
-
-
-def cliques_graph(sizes, cross=()):
-    edges = []
-    offset = 0
-    parts = []
-    for s in sizes:
-        parts.append(frozenset(range(offset, offset + s)))
-        edges += [(offset + i, offset + j) for i in range(s) for j in range(i + 1, s)]
-        offset += s
-    edges += list(cross)
-    return build_graph(offset, edges), parts
 
 
 # --- verifier -----------------------------------------------------------
@@ -284,7 +273,7 @@ def test_separator_complete_vertex():
 
 
 def test_separator_hits_all_edges_on_members(rng):
-    members = sample_members(["diamond", "2P1+P3"], 40, 12, seed=5)
+    members = generate_free(range(4, 13), ["diamond", "2P1+P3"], 40, seed=5)
     for g in members:
         clique = set()
         for v in sorted(g.vertices, key=lambda v: (-g.degree(v), v)):
@@ -329,7 +318,7 @@ def test_branch_examples():
 
 
 def test_branch_never_hits_internal_error_on_members():
-    members = sample_members(["diamond", "3P1+P2"], 1000, 12, seed=23)
+    members = generate_free(range(4, 13), ["diamond", "3P1+P2"], 1000, seed=23)
     for g in members:
         assert clique_or_independence_branch(g, 2, 3) in (
             Branch.K_FREE,
@@ -475,7 +464,7 @@ MEMBER_SEEDS = {"2P1+P3": 1, "3P1+P2": 2, "P2+P3": 3}
 
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))
 def test_certify_random_members_end_to_end(h2, rng):
-    members = sample_members(["diamond", h2], 60, 12, seed=MEMBER_SEEDS[h2])
+    members = generate_free(range(4, 13), ["diamond", h2], 60, seed=MEMBER_SEEDS[h2])
     for g in members:
         cert = CERTIFIERS[h2](g)
         result = verify_certificate(g, cert)
@@ -548,7 +537,7 @@ def test_certifier_step_sites(h2, n, edges, wanted):
 
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))
 def test_soundness_harness_leaf_widths(h2):
-    members = sample_members(["diamond", h2], 25, 10, seed=len(h2))
+    members = generate_free(range(4, 11), ["diamond", h2], 25, seed=len(h2))
     for g in members:
         cert = CERTIFIERS[h2](g)
         result = verify_certificate(g, cert)
@@ -577,7 +566,7 @@ def golden_corpus():
     graphs = [build_graph(n, edges) for _, _, n, edges, _ in STEP_SITES]
     graphs += [realize_text(t) for t in ("diamond", "2P2+P4", "3P1+P2", "2P1+P3", "P2+P3", "P7")]
     for seed, h2 in enumerate(sorted(CERTIFIERS), start=128):
-        graphs += sample_members(["diamond", h2], 60, 12, seed=seed)
+        graphs += generate_free(range(4, 13), ["diamond", h2], 60, seed=seed)
     return graphs
 
 

@@ -164,6 +164,25 @@ def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, graph, err",
+    [
+        (["construct", "wall", "1"], None, "error: wall height must be at least 2\n"),
+        (["construct", "complemented-wall", "1"], None, "error: wall height must be at least 2\n"),
+        (["clique-width"], "11P1", "error: solver limited to 10 vertices, got 11\n"),
+        (["certify", "3P1+P2"], "K17", "error: perfectness assertion needs n <= 16, got 17\n"),
+        (["certify", "3P1+P2"], "K25", "error: alpha limited to 24 vertices, got 25\n"),
+    ],
+)
+def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, err):
+    if graph is not None:
+        argv = [argv[0], write_graph(tmp_path, "g.el", graph), *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_internal_contradiction_exit_code(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InternalContradictionError("cover vanished")

@@ -297,9 +297,9 @@ def test_solver_searches_only_prime_graphs(monkeypatch, rng):
     searched = set()
     search = kexpr_module._search
 
-    def recording(masks, n, k, *order):
+    def recording(masks, n, k, order):
         searched.add((tuple(masks), n))
-        return search(masks, n, k, *order)
+        return search(masks, n, k, order)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     assert clique_width_exact(realize_text("K3+7P1"))[0] == 2
@@ -321,9 +321,9 @@ def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
     levels = []
     search = kexpr_module._search
 
-    def recording(masks, n, k, *order):
+    def recording(masks, n, k, order):
         levels.append((n, k))
-        return search(masks, n, k, *order)
+        return search(masks, n, k, order)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     graphs = [realize_text(t) for t in ("P4", "C5", "C7", "K3+7P1", "P1")]
@@ -339,7 +339,8 @@ def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
 def undecomposed_width(g: Graph) -> int:
     """Least k for which the subset search on the whole graph reaches it."""
     _, _, masks = bit_adjacency(g)
-    return next(k for k in range(1, 7) if kexpr_module._search(masks, g.n, k) is not None)
+    order = kexpr_module._subset_order(masks, g.n)
+    return next(k for k in range(1, 7) if kexpr_module._search(masks, g.n, k, order) is not None)
 
 
 def test_decomposed_width_matches_whole_graph_search():
@@ -362,8 +363,9 @@ def test_search_states_are_twin_classes():
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         _, _, masks = bit_adjacency(g)
+        order = kexpr_module._subset_order(masks, n)
         for k in range(1, kexpr_module.KMAX_LIMIT + 1):
-            found = kexpr_module._search(masks, n, k)
+            found = kexpr_module._search(masks, n, k, order)
             if found is None:
                 continue
             _, states, _ = found

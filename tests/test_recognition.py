@@ -219,30 +219,35 @@ def test_bipartite_class_bounded_does_not_build_large_named_graphs(monkeypatch):
 
 
 def test_generate_free_postconditions():
-    graphs = generate_free(5, ["diamond"], 10, seed=7)
+    graphs = generate_free([5], ["diamond"], 10, seed=7)
     assert len(graphs) == 10
     assert all(g.n == 5 and is_free(g, ["diamond"])[0] for g in graphs)
-    cographs = generate_free(4, ["P4", "co(P4)"], 6, seed=3)
+    cographs = generate_free([4], ["P4", "co(P4)"], 6, seed=3)
     assert all(is_free(g, ["P4"])[0] for g in cographs)
-    members = generate_free(8, ["diamond", "P2+P3"], 12, seed=11)
+    members = generate_free(range(4, 9), ["diamond", "P2+P3"], 12, seed=11)
     assert all(is_free(g, ["diamond", "P2+P3"])[0] for g in members)
+    assert {g.n for g in members} <= set(range(4, 9))
+    assert len({g.n for g in members}) > 1
 
 
 def test_generate_free_deterministic():
-    a = generate_free(6, ["diamond"], 8, seed=99)
-    b = generate_free(6, ["diamond"], 8, seed=99)
+    a = generate_free(range(4, 13), ["diamond"], 8, seed=99)
+    b = generate_free(range(4, 13), ["diamond"], 8, seed=99)
     assert [g.edges() for g in a] == [g.edges() for g in b]
 
 
 def test_generate_free_budget_error():
     with pytest.raises(GenerationBudgetError) as err:
-        generate_free(4, ["P1"], 3, seed=1, max_attempts=50)
+        generate_free([4], ["P1"], 3, seed=1)
     assert err.value.produced == 0
+    assert str(err.value) == "sampling budget exhausted: produced 0/3 graphs in 2000 attempts"
 
 
 def test_generate_free_size_limit():
     with pytest.raises(SizeLimitError):
-        generate_free(17, ["diamond"], 1, seed=0)
+        generate_free([17], ["diamond"], 1, seed=0)
+    with pytest.raises(SizeLimitError):
+        generate_free(range(4, 18), ["diamond"], 1, seed=0)
 
 
 def test_class_profile_consistency():
