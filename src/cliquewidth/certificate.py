@@ -203,8 +203,11 @@ def _frozen(value):
 
 def _node_from_obj(obj: dict) -> Node:
     if "base" in obj:
+        kind = _field(obj, "base")
+        if "children" in obj:
+            raise ValueError(f"certificate {kind} leaf has children")
         return BaseLeaf(
-            _field(obj, "base"),
+            kind,
             _field(obj, "h", optional=True),
             _field(obj, "expression", optional=True),
         )
@@ -216,6 +219,8 @@ def _node_from_obj(obj: dict) -> Node:
     names = [f.name for f in fields(step)]
     if "child" in names and not children:
         raise ValueError(f"certificate {op} step has no child")
+    if "child" in names and len(children) > 1:
+        raise ValueError(f"certificate {op} step has {len(children)} children, not one")
     args = []
     for name in names:
         if name == "child":

@@ -42,7 +42,7 @@ from .graphs import (
     prune_degree_one,
     subgraph_complement,
 )
-from .namedgraphs import parse_spec, realize
+from .namedgraphs import realize_text
 from .recognition import (
     DESK_SCALE_LIMIT,
     SizeLimitError,
@@ -61,6 +61,13 @@ class NotInClassError(ValueError):
     def __init__(self, witness: FreenessWitness):
         super().__init__(f"input contains an induced {witness.spec_text}")
         self.witness = witness
+
+
+def _require_free(g: Graph, specs: list[str]) -> None:
+    """Raise NotInClassError with the witness if ``g`` contains one of ``specs``."""
+    free, witness = is_free(g, specs)
+    if not free:
+        raise NotInClassError(witness)
 
 
 class InternalContradictionError(AssertionError):
@@ -105,7 +112,7 @@ def _two_p2_p4_witness(
     emb = Embedding(
         ((0, x1), (1, x2), (2, x3), (3, x4), (4, x5), (5, x6), (6, x7), (7, x8))
     )
-    if not emb.validate(g, realize(parse_spec("2P2+P4"))):
+    if not emb.validate(g, realize_text("2P2+P4")):
         raise _contradiction("constructed 2P2+P4 witness failed validation")
     return FreenessWitness("2P2+P4", emb)
 
@@ -262,9 +269,7 @@ def reduce_by_clique_cover(
 ) -> Certificate | FreenessWitness:
     """Certificate for a diamond-free graph with the given clique cover, or
     the induced 2P2+P4 witness that the class membership fails."""
-    free, witness = is_free(g, ["diamond"])
-    if not free:
-        raise NotInClassError(witness)
+    _require_free(g, ["diamond"])
     steps = _Steps(g)
     terminal = _reduce_steps(steps, [frozenset(p) for p in cover])
     if isinstance(terminal, FreenessWitness):
@@ -292,9 +297,7 @@ def clique_independent_separator(
         for v in i_set:
             if u < v and g.has_edge(u, v):
                 raise ValueError("second argument is not independent")
-    free, witness = is_free(g, ["diamond", "2P1+P3"])
-    if not free:
-        raise NotInClassError(witness)
+    _require_free(g, ["diamond", "2P1+P3"])
 
     cross = [(u, v) for u in c for v in i_set if g.has_edge(u, v)]
     if not cross:
@@ -356,10 +359,8 @@ def clique_or_independence_branch(g: Graph, s: int, t: int) -> Branch:
         raise ValueError("s and t must be non-negative")
     co_spec = f"co({s}P1+P2)" if s >= 1 else "co(P2)"
     t_spec = f"{t}P1+P2" if t >= 1 else "P2"
-    free, witness = is_free(g, [co_spec, t_spec])
-    if not free:
-        raise NotInClassError(witness)
-    if contains_induced(g, realize(parse_spec(f"K{s + 1}"))) is None:
+    _require_free(g, [co_spec, t_spec])
+    if contains_induced(g, realize_text(f"K{s + 1}")) is None:
         return Branch.K_FREE
     bound = s * s * (t - 1) + 2
     if alpha(g) >= bound:
@@ -557,9 +558,7 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def certify_diamond_2p1p3(g: Graph) -> Certificate:
-    free, witness = is_free(g, ["diamond", "2P1+P3"])
-    if not free:
-        raise NotInClassError(witness)
+    _require_free(g, ["diamond", "2P1+P3"])
 
     c4 = find_induced_cycle(g, 4)
     if c4 is not None:
@@ -638,11 +637,9 @@ def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
 # ---------------------------------------------------------------------------
 
 def certify_diamond_p2p3(g: Graph) -> Certificate:
-    free, witness = is_free(g, ["diamond", "P2+P3"])
-    if not free:
-        raise NotInClassError(witness)
+    _require_free(g, ["diamond", "P2+P3"])
 
-    if contains_induced(g, realize(parse_spec("K5"))) is not None:
+    if contains_induced(g, realize_text("K5")) is not None:
         return Certificate(certificate_root(g), _certify_p2p3_with_k5(g))
     c5 = find_induced_cycle(g, 5)
     if c5 is not None:
@@ -663,7 +660,7 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
     steps = _Steps(g)
     steps.prune()
     work = steps.work
-    k5 = contains_induced(work, realize(parse_spec("K5")))
+    k5 = contains_induced(work, realize_text("K5"))
     if k5 is None:
         raise _contradiction("pruning destroyed every K5")
     x_clique = set(k5.image())

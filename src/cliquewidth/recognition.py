@@ -3,7 +3,8 @@
 Everything here is exact and deterministic: independence and clique numbers
 by branch and bound, minimum clique covers by exact colouring of the
 complement, chordality by simplicial elimination, and a desk-scale
-perfectness test by explicit enumeration of induced odd holes and antiholes.
+perfectness test by a search for induced odd holes and antiholes, which,
+like every induced cycle here, ``search.contains_induced`` finds.
 """
 from __future__ import annotations
 
@@ -19,7 +20,14 @@ from .graphs import (
     complement,
     induced_subgraph,
 )
-from .namedgraphs import NamedGraphSpec, parse_spec, realize, spec_edgeless, spec_order
+from .namedgraphs import (
+    NamedGraphSpec,
+    parse_spec,
+    realize,
+    realize_text,
+    spec_edgeless,
+    spec_order,
+)
 from .search import contains_induced, is_free
 
 EXACT_SCALE_LIMIT = 24
@@ -195,54 +203,20 @@ def _shortest_path_avoiding(
 
 
 def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
-    """First induced cycle of exactly the given length in least-start,
-    ascending DFS order (deterministic), or None."""
+    """The image of ``contains_induced``'s least copy of C_length: the least
+    induced cycle of exactly the given length, or None."""
     if length < 3 or g.n < length:
         return None
-    verts, _, masks = bit_adjacency(g)
-
-    def rec(path: list[int], used: int) -> tuple[int, ...] | None:
-        if len(path) == length:
-            first, last = path[0], path[-1]
-            if masks[last] >> first & 1:
-                return tuple(verts[i] for i in path)
-            return None
-        start_min = path[0]
-        last = path[-1]
-        cand = masks[last] & ~used
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nxt = low.bit_length() - 1
-            if nxt <= start_min:
-                continue  # keep the least vertex first (symmetry breaking)
-            # Induced condition: nxt may touch only the path's last vertex,
-            # except that the final vertex may also touch the first.
-            allowed = 1 << last
-            if len(path) == length - 1:
-                allowed |= 1 << path[0]
-            if masks[nxt] & used & ~allowed:
-                continue
-            res = rec(path + [nxt], used | low)
-            if res is not None:
-                return res
-        return None
-
-    for s in range(len(verts)):
-        res = rec([s], 1 << s)
-        if res is not None:
-            return res
-    return None
+    emb = contains_induced(g, realize_text(f"C{length}"))
+    return None if emb is None else emb.image()
 
 
 def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     """Shortest induced odd cycle of length >= 5 (least witness)."""
-    length = 5
-    while length <= g.n:
+    for length in range(5, g.n + 1, 2):
         cyc = find_induced_cycle(g, length)
         if cyc is not None:
             return cyc
-        length += 2
     return None
 
 
@@ -289,8 +263,7 @@ def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
     if pattern.m == 0 and pattern.n >= 1:
         return True
     for container_text in _BIPARTITE_CONTAINERS:
-        container = realize(parse_spec(container_text))
-        if contains_induced(container, pattern) is not None:
+        if contains_induced(realize_text(container_text), pattern) is not None:
             return True
     return False
 

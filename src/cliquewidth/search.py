@@ -7,10 +7,14 @@ candidates for the next pattern vertex only, from the images of its
 earlier-placed neighbours and non-neighbours; the last component of a
 disconnected pattern, when it has one or two vertices, is decided by a
 bitmask test on the common non-neighbourhood of the other images and never
-enumerated.  Isomorphism is individualise-and-refine on one partition of
-the vertices of both graphs, refined from a queue of splitter cells and
-undone from a trail (McKay & Piperno, *Practical graph isomorphism II*,
-2014); it returns the first embedding found by its fixed search order.
+enumerated.  What depends on the pattern alone (its search orders, and per
+position the degree and the earlier neighbours and non-neighbours) is
+planned once per pattern by ``_plan``, so a search does host work only.
+The same search finds the induced cycles of ``recognition``.  Isomorphism
+is individualise-and-refine on one partition of the vertices of both
+graphs, refined from a queue of splitter cells and undone from a trail
+(McKay & Piperno, *Practical graph isomorphism II*, 2014); it returns the
+first embedding found by its fixed search order.
 ``colour_refinement`` recolours a whole graph per round and serves
 ``fingerprint`` alone, whose colour ids are hashed into certificate roots.
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -96,8 +101,31 @@ def _search_order(pattern: Graph) -> list[list[int]]:
     return comps
 
 
+def _walk(pattern: Graph, order: list[int], tail: int) -> tuple:
+    """``_backtrack``'s arguments after ``hmask`` for one order of the
+    pattern's vertices: per position, the vertex's degree and the earlier
+    positions that hold its neighbours and its non-neighbours."""
+    degrees = [pattern.degree(u) for u in order]
+    nbrs = [[j for j in range(k) if pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
+    nons = [[j for j in range(k) if not pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
+    return tuple(order), tail, tuple(degrees), tuple(map(tuple, nbrs)), tuple(map(tuple, nons))
+
+
+@cache
+def _plan(pattern: Graph) -> tuple[tuple, tuple]:
+    """The walk of ``pattern`` in the order of ``_search_order``, whose last
+    component is the tail when it has one or two vertices, and its walk in
+    plain id order.  Built once per pattern and kept for the whole run, as
+    ``namedgraphs.realize`` keeps the named graphs the package searches for."""
+    comps = _search_order(pattern)
+    tail = len(comps[-1]) if len(comps) > 1 and len(comps[-1]) <= 2 else 0
+    presence = _walk(pattern, [v for comp in comps for v in comp], tail)
+    return presence, _walk(pattern, list(pattern.vertices), 0)
+
+
 def _backtrack(
-    hmask: list[int], pattern: Graph, order: list[int], tail: int = 0
+    hmask: list[int], order: tuple[int, ...], tail: int, degrees: tuple[int, ...],
+    nbrs: tuple[tuple[int, ...], ...], nons: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Host indices for ``order[:len(order) - tail]`` that extend to an
     induced copy of ``pattern``, or None if there is no copy.
@@ -118,15 +146,12 @@ def _backtrack(
     full = (1 << len(hmask)) - 1
     comask = [full ^ mk for mk in hmask]
     by_degree: dict[int, int] = {}
-    for d in {pattern.degree(u) for u in order}:
+    for d in set(degrees):
         by_degree[d] = sum(1 << i for i, mk in enumerate(hmask) if mk.bit_count() >= d)
     if not all(by_degree.values()):
         return None
     stop = len(order) - tail
-    doms = [by_degree[pattern.degree(u)] for u in order]
-    # Earlier positions whose images must be adjacent / non-adjacent.
-    nbrs = [[j for j in range(k) if pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
-    nons = [[j for j in range(k) if not pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
+    doms = [by_degree[d] for d in degrees]
 
     def fit(room: int, seen: int) -> int:
         """A placement of the tail inside ``room`` as a mask, or 0.  The
@@ -195,14 +220,12 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     if co_p > co_h:
         return None
     hv, _, hmask = bit_adjacency(host)
-    comps = _search_order(pattern)
-    tail = len(comps[-1]) if len(comps) > 1 and len(comps[-1]) <= 2 else 0
-    if _backtrack(hmask, pattern, [v for comp in comps for v in comp], tail) is None:
+    presence, by_id = _plan(pattern)
+    if _backtrack(hmask, *presence) is None:
         return None
-    order = list(pattern.vertices)
-    lex = _backtrack(hmask, pattern, order)
+    lex = _backtrack(hmask, *by_id)
     assert lex is not None
-    emb = Embedding(tuple(zip(order, (hv[i] for i in lex))))
+    emb = Embedding(tuple(zip(by_id[0], (hv[i] for i in lex))))
     assert emb.validate(host, pattern)
     return emb
 

@@ -227,8 +227,16 @@ def test_construct_output_feeds_graph_commands(tmp_path, capsys):
             "children": [{"base": "disjoint_cliques"}],
         },
         {"base": 5},
+        {"op": "prune_degree_one", "children": [{"base": "max_degree_2"}, {"base": "bogus"}]},
+        {"base": "max_degree_2", "children": [{"base": "bogus"}]},
     ],
-    ids=["children-not-a-list", "string-stated-bound", "integer-leaf-base"],
+    ids=[
+        "children-not-a-list",
+        "string-stated-bound",
+        "integer-leaf-base",
+        "single-child-step-with-two-children",
+        "leaf-with-children",
+    ],
 )
 def test_verify_certificate_malformed(tmp_path, capsys, step):
     c5 = write_graph(tmp_path, "c5.el", "C5")

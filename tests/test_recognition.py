@@ -1,6 +1,7 @@
 import pytest
 
 from cliquewidth import (
+    Graph,
     GenerationBudgetError,
     SizeLimitError,
     alpha,
@@ -9,6 +10,7 @@ from cliquewidth import (
     clique_cover_exact,
     complement,
     contains_induced,
+    delete_vertices,
     find_induced_cycle,
     find_odd_hole,
     generate_free,
@@ -28,6 +30,7 @@ from brute import (
     brute_chromatic,
     brute_contains_induced,
     brute_induced_cycles,
+    brute_least_induced,
     random_graph,
 )
 
@@ -103,17 +106,29 @@ def test_is_chordal_agrees_with_cycle_enumeration(rng):
 
 def test_find_induced_cycle(rng):
     g = realize_text("C6")
-    assert find_induced_cycle(g, 6) is not None
+    assert find_induced_cycle(g, 6) == (0, 1, 2, 3, 4, 5)
     assert find_induced_cycle(g, 4) is None
     assert find_induced_cycle(g, 5) is None
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(4, 9), 0.4)
-        for length in (4, 5, 6):
-            cyc = find_induced_cycle(g, length)
-            sets = {c for c in brute_induced_cycles(g, length) if len(c) == length}
-            assert (cyc is None) == (not sets)
-            if cyc is not None:
-                assert frozenset(cyc) in sets
+    assert find_induced_cycle(g, 2) is None and find_induced_cycle(g, 7) is None
+    # Random hosts, hosts with a planted C5, C6 or C7, and hosts whose ids
+    # are not 0..n-1, since the cycle is read back from host indices.
+    hosts = [random_graph(rng, rng.randint(4, 7), 0.4) for _ in range(25)]
+    for length in (5, 6, 7):
+        for _ in range(3):
+            cyc = rng.sample(range(8), length)
+            ring = set(zip(cyc, cyc[1:] + cyc[:1]))
+            extra = {(u, v) for u, v in random_graph(rng, 8, 0.3).edges() if {u, v} - set(cyc)}
+            spare = min(set(range(8)) - set(cyc))
+            hosts.append(delete_vertices(Graph(range(8), ring | extra), [spare]))
+    hosts += [
+        delete_vertices(random_graph(rng, 10, rng.choice([0.3, 0.5])), rng.sample(range(10), 3))
+        for _ in range(10)
+    ]
+    for g in hosts:
+        for length in range(3, 8):
+            least = brute_least_induced(g, realize_text(f"C{length}"))
+            expected = None if least is None else tuple(least[i] for i in range(length))
+            assert find_induced_cycle(g, length) == expected
 
 
 def test_is_perfect_desk_examples():

@@ -16,6 +16,7 @@ from cliquewidth import (
     is_free,
     realize_text,
 )
+from cliquewidth import search
 from cliquewidth.constructions import complemented_wall, gi_reduce
 from brute import (
     brute_contains_induced,
@@ -68,6 +69,26 @@ def test_witness_is_lexicographically_least():
     assert emb.image() == (1, 2)
     emb = contains_induced(host, realize_text("P3"))
     assert emb.image() == (3, 4, 5)
+
+
+def test_pattern_seen_before_is_not_planned_again(monkeypatch):
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return original(pattern)
+
+    original = search._search_order
+    monkeypatch.setattr(search, "_search_order", counting)
+    # Ids no other test uses, so the pattern is new to the plan cache.
+    pattern = Graph([1001, 1002, 1003, 1004], [(1001, 1002), (1002, 1003)])
+    hosts = [realize_text("C6"), realize_text("P2+P4"), realize_text("C5")]
+    found = [contains_induced(h, pattern) for h in hosts]
+    # An equal pattern built again is the same pattern to the plan cache.
+    again = Graph([1001, 1002, 1003, 1004], [(1001, 1002), (1002, 1003)])
+    assert contains_induced(realize_text("C6"), again) == found[0]
+    assert len(calls) == 1
+    assert [emb is not None for emb in found] == [True, True, False]
 
 
 # Connected patterns; disconnected ones whose last component in search
