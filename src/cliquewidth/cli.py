@@ -41,8 +41,11 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 def _write_out(out: str | None, text: str) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -27,9 +27,13 @@ class Graph:
 
     Equality and hashing are id-sensitive: two graphs are equal when they
     have the same vertex ids and the same edges, not merely when isomorphic.
+
+    The ``_tables`` slot starts empty.  ``search`` fills it on a graph's
+    first induced-subgraph search with the bitmask tables later searches of
+    the same graph reuse; equality and hashing ignore it.
     """
 
-    __slots__ = ("_verts", "_adj", "_m")
+    __slots__ = ("_verts", "_adj", "_m", "_tables")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         verts = tuple(sorted(set(vertices)))
@@ -47,6 +51,7 @@ class Graph:
         self._verts = verts
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._m = sum(map(len, adj.values())) // 2
+        self._tables = None
 
     @classmethod
     def _from_adj(cls, adj: dict[int, frozenset[int]]) -> Graph:
@@ -59,6 +64,7 @@ class Graph:
         g._verts = tuple(sorted(adj))
         g._adj = adj
         g._m = sum(map(len, adj.values())) // 2
+        g._tables = None
         return g
 
     @property

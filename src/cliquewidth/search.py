@@ -8,8 +8,13 @@ earlier-placed neighbours and non-neighbours; the last component of a
 disconnected pattern, when it has one or two vertices, is decided by a
 bitmask test on the common non-neighbourhood of the other images and never
 enumerated.  What depends on the pattern alone (its search orders, and per
-position the degree and the earlier neighbours and non-neighbours) is
-planned once per pattern by ``_plan``, so a search does host work only.
+position the degree, the earlier neighbours and non-neighbours and the
+earlier twin) is planned once per pattern by ``_plan``, and a host's
+bitmasks are built once per graph object by ``_host_tables``, so a search
+does host work only.
+Twins of the pattern (equal open or closed neighbourhoods) take ascending
+images, which keeps both the answer and the least witness.  When the
+presence order is the id order, a hit takes one pass instead of two.
 The same search finds the induced cycles of ``recognition``.  Isomorphism
 is individualise-and-refine on one partition of the vertices of both
 graphs, refined from a queue of splitter cells and undone from a trail
@@ -102,40 +107,86 @@ def _search_order(pattern: Graph) -> list[list[int]]:
 
 
 def _walk(pattern: Graph, order: list[int], tail: int) -> tuple:
-    """``_backtrack``'s arguments after ``hmask`` for one order of the
-    pattern's vertices: per position, the vertex's degree and the earlier
-    positions that hold its neighbours and its non-neighbours."""
+    """``_backtrack``'s arguments after the host tables for one order of the
+    pattern's vertices: per position, the vertex's degree, the earlier
+    positions that hold its neighbours and its non-neighbours, and the
+    earlier position of the previous member of its twin class (-1 if there
+    is none).  True twins have equal closed neighbourhoods and false twins
+    equal open ones."""
     degrees = [pattern.degree(u) for u in order]
     nbrs = [[j for j in range(k) if pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
     nons = [[j for j in range(k) if not pattern.has_edge(order[j], u)] for k, u in enumerate(order)]
-    return tuple(order), tail, tuple(degrees), tuple(map(tuple, nbrs)), tuple(map(tuple, nons))
+    opened = [pattern.neighbors(u) for u in order]
+    closed = [nb | {u} for nb, u in zip(opened, order)]
+    twins = [
+        max((j for j in range(k) if opened[j] == opened[k] or closed[j] == closed[k]), default=-1)
+        for k in range(len(order))
+    ]
+    return (
+        tuple(order), tail, tuple(degrees), tuple(map(tuple, nbrs)), tuple(map(tuple, nons)),
+        tuple(twins),
+    )
 
 
 @cache
 def _plan(pattern: Graph) -> tuple[tuple, tuple]:
     """The walk of ``pattern`` in the order of ``_search_order``, whose last
     component is the tail when it has one or two vertices, and its walk in
-    plain id order.  Built once per pattern and kept for the whole run, as
+    plain id order; the same object twice when the two walks are equal.
+    Built once per pattern and kept for the whole run, as
     ``namedgraphs.realize`` keeps the named graphs the package searches for."""
     comps = _search_order(pattern)
     tail = len(comps[-1]) if len(comps) > 1 and len(comps[-1]) <= 2 else 0
     presence = _walk(pattern, [v for comp in comps for v in comp], tail)
-    return presence, _walk(pattern, list(pattern.vertices), 0)
+    by_id = _walk(pattern, list(pattern.vertices), 0)
+    return presence, presence if by_id == presence else by_id
+
+
+def _host_tables(host: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The host's neighbour bitmasks, by index in ``host.vertices``, and for
+    each degree d < n the mask of the vertices of degree at least d.
+
+    Built on the first search of a graph object and kept in its ``_tables``
+    slot, which nothing else writes, so later searches of that graph (the
+    next named graph of ``is_free``, the next cycle length of a certifier)
+    reuse them.  A derived graph is a new object with tables of its own.
+    """
+    tables = host._tables
+    if tables is None:
+        _, _, masks = bit_adjacency(host)
+        at_least = [0] * host.n
+        for i, mk in enumerate(masks):
+            at_least[mk.bit_count()] |= 1 << i
+        for d in range(host.n - 2, -1, -1):
+            at_least[d] |= at_least[d + 1]
+        tables = host._tables = (tuple(masks), tuple(at_least))
+    return tables
 
 
 def _backtrack(
-    hmask: list[int], order: tuple[int, ...], tail: int, degrees: tuple[int, ...],
-    nbrs: tuple[tuple[int, ...], ...], nons: tuple[tuple[int, ...], ...],
+    hmask: tuple[int, ...], at_least: tuple[int, ...], order: tuple[int, ...], tail: int,
+    degrees: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...], nons: tuple[tuple[int, ...], ...],
+    twins: tuple[int, ...],
 ) -> list[int] | None:
     """Host indices for ``order[:len(order) - tail]`` that extend to an
     induced copy of ``pattern``, or None if there is no copy.
 
-    ``hmask`` holds the host's neighbour bitmasks.  Candidates are found for
-    the next pattern vertex only: its degree domain, minus the used host
-    vertices, ANDed with the neighbour mask of each earlier-placed
-    neighbour's image and the non-neighbour mask of each earlier-placed
-    non-neighbour's image.  Candidates are tried in ascending index, so the
-    first copy found is the least image sequence in the given order.
+    ``hmask`` and ``at_least`` are the host's tables from ``_host_tables``.
+    Candidates are found for the next pattern vertex only: its degree
+    domain, minus the used host vertices, ANDed with the neighbour mask of
+    each earlier-placed neighbour's image and the non-neighbour mask of each
+    earlier-placed non-neighbour's image.  Candidates are tried in ascending
+    index, so the first copy found is the least image sequence in the given
+    order.
+
+    Twin bound: a vertex whose twin class has a member at an earlier
+    position ``twins[k]`` only takes images above that member's image.
+    Permuting the images inside a twin class maps an induced copy to an
+    induced copy, so some copy meets the bound whenever any copy exists
+    (the twin case of Grochow & Kellis's symmetry breaking, RECOMB 2007).
+    The least copy in id order meets it too: swapping the images of two
+    twins that are out of order gives a smaller sequence.  So the bound
+    keeps both the answer and the least witness.
 
     ``tail`` > 0 says that the last ``tail`` vertices of ``order`` form a
     component of one or two vertices.  The tail must then fit in ``room``,
@@ -143,15 +194,10 @@ def _backtrack(
     only shrinks down the search: a branch is cut as soon as it does not
     fit, and the tail itself is never enumerated.
     """
-    full = (1 << len(hmask)) - 1
-    comask = [full ^ mk for mk in hmask]
-    by_degree: dict[int, int] = {}
-    for d in set(degrees):
-        by_degree[d] = sum(1 << i for i, mk in enumerate(hmask) if mk.bit_count() >= d)
-    if not all(by_degree.values()):
+    doms = [at_least[d] for d in degrees]
+    if not all(doms):
         return None
     stop = len(order) - tail
-    doms = [by_degree[d] for d in degrees]
 
     def fit(room: int, seen: int) -> int:
         """A placement of the tail inside ``room`` as a mask, or 0.  The
@@ -177,17 +223,20 @@ def _backtrack(
         if k == stop:
             return True
         cand = doms[k] & ~used
+        t = twins[k]
+        if t >= 0:
+            cand &= -(2 << img[t])
         for j in nbrs[k]:
             cand &= hmask[img[j]]
         for j in nons[k]:
-            cand &= comask[img[j]]
+            cand &= ~hmask[img[j]]
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
             img[k] = i
             if tail:
-                now = room & comask[i]
+                now = room & ~hmask[i]
                 placed = fit(now & ~(used | low), seen)
                 if placed and rec(k + 1, used | low, now, placed):
                     return True
@@ -195,7 +244,7 @@ def _backtrack(
                 return True
         return False
 
-    return img if rec(0, 0, full, 0) else None
+    return img if rec(0, 0, (1 << len(hmask)) - 1, 0) else None
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
@@ -208,7 +257,8 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     before it, which is checked by bitmask at every step.  Only when a copy
     exists does a second pass in plain id order recover the
     lexicographically least embedding (image sequence over pattern vertices
-    in id order).
+    in id order); when the two orders are the same walk, the first pass
+    already found it.
     """
     if pattern.n == 0:
         return Embedding(())
@@ -219,12 +269,15 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     co_h = host.n * (host.n - 1) // 2 - host.m
     if co_p > co_h:
         return None
-    hv, _, hmask = bit_adjacency(host)
+    tables = _host_tables(host)
     presence, by_id = _plan(pattern)
-    if _backtrack(hmask, *presence) is None:
+    lex = _backtrack(*tables, *presence)
+    if lex is None:
         return None
-    lex = _backtrack(hmask, *by_id)
-    assert lex is not None
+    if by_id is not presence:
+        lex = _backtrack(*tables, *by_id)
+        assert lex is not None
+    hv = host.vertices
     emb = Embedding(tuple(zip(by_id[0], (hv[i] for i in lex))))
     assert emb.validate(host, pattern)
     return emb
@@ -260,10 +313,12 @@ def colour_refinement(
     signature order so the result is comparable across graphs."""
     colours = dict(init)
     while True:
-        sigs = {
-            v: (colours[v], tuple(sorted(Counter(colours[w] for w in adj[v]).items())))
-            for v in adj
-        }
+        sigs = {}
+        for v, nb in adj.items():
+            counts: dict[int, int] = {}
+            for c in map(colours.__getitem__, nb):
+                counts[c] = counts.get(c, 0) + 1
+            sigs[v] = (colours[v], tuple(sorted(counts.items())))
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
         new = {v: palette[sigs[v]] for v in adj}
         if len(set(new.values())) == len(set(colours.values())):
@@ -448,8 +503,12 @@ def fingerprint(g: Graph) -> tuple[int, int, str]:
     init = {v: g.degree(v) for v in g.vertices}
     colours = colour_refinement({v: g.neighbors(v) for v in g.vertices}, init)
     hist = tuple(sorted(Counter(colours.values()).items()))
-    edge_sig = tuple(
-        sorted(tuple(sorted((colours[u], colours[v]))) for u, v in g.edges())
-    )
-    payload = repr((g.n, g.m, hist, edge_sig)).encode()
+    pairs = []
+    for u in g.vertices:
+        cu = colours[u]
+        for v in g.neighbors(u):
+            if u < v:
+                cv = colours[v]
+                pairs.append((cu, cv) if cu <= cv else (cv, cu))
+    payload = repr((g.n, g.m, hist, tuple(sorted(pairs)))).encode()
     return g.n, g.m, hashlib.sha256(payload).hexdigest()[:16]

@@ -183,6 +183,30 @@ def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, e
     assert captured.err == err
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["clique-width", "{graph}", "--out", "{missing}"], "clique-width 2\n"),
+        (["certify", "{graph}", "P2+P3", "--out", "{directory}"], ""),
+        (["construct", "wall", "2", "--out", "{missing}"], ""),
+    ],
+    ids=["clique-width", "certify", "construct"],
+)
+def test_unwritable_out_prints_one_line_and_exits_2(tmp_path, capsys, argv, out):
+    paths = {
+        "graph": write_graph(tmp_path, "p3.el", "P3"),
+        "missing": str(tmp_path / "nodir" / "x.txt"),
+        "directory": str(tmp_path),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == out
+    path = argv[-1]
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_internal_contradiction_exit_code(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise InternalContradictionError("cover vanished")

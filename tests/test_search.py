@@ -11,6 +11,7 @@ from cliquewidth import (
     are_isomorphic,
     build_graph,
     contains_induced,
+    delete_vertices,
     disjoint_union,
     fingerprint,
     is_free,
@@ -18,6 +19,7 @@ from cliquewidth import (
 )
 from cliquewidth import search
 from cliquewidth.constructions import complemented_wall, gi_reduce
+from cliquewidth.recognition import find_induced_cycle
 from brute import (
     brute_contains_induced,
     brute_is_induced_embedding,
@@ -91,13 +93,51 @@ def test_pattern_seen_before_is_not_planned_again(monkeypatch):
     assert [emb is not None for emb in found] == [True, True, False]
 
 
+def test_host_tables_are_built_once_per_graph(monkeypatch):
+    builds, passes = [], []
+
+    def counting_tables(g):
+        builds.append(g)
+        return original_tables(g)
+
+    def counting_backtrack(*args):
+        passes.append(args)
+        return original_backtrack(*args)
+
+    original_tables, original_backtrack = search.bit_adjacency, search._backtrack
+    monkeypatch.setattr(search, "bit_adjacency", counting_tables)
+    monkeypatch.setattr(search, "_backtrack", counting_backtrack)
+    # A fresh C7: free of all four named graphs, then searched for C4-C7.
+    c7 = Graph(range(7), [(i, (i + 1) % 7) for i in range(7)])
+    assert is_free(c7, ["diamond", "3P1+P2", "K3", "K1,3"]) == (True, None)
+    assert [find_induced_cycle(c7, length) for length in (4, 5, 6, 7)] == [None, None, None, c7.vertices]
+    assert builds == [c7]
+    # A derived graph is a new object, searched on tables of its own.
+    p6 = delete_vertices(c7, [0])
+    free, witness = is_free(p6, ["K3", "P4"])
+    assert not free and witness.embedding.validate(p6, realize_text("P4"))
+    assert builds == [c7, p6]
+    # The presence and id walks of diamond are one walk, so a hit runs one
+    # pass; those of C5 differ, so a hit runs two.
+    passes.clear()
+    host = Graph(range(6), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (4, 5)])
+    assert contains_induced(host, realize_text("diamond")).image() == (0, 1, 2, 3)
+    assert len(passes) == 1
+    passes.clear()
+    c5 = Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    assert contains_induced(c5, realize_text("C5")).image() == c5.vertices
+    assert len(passes) == 2
+
+
 # Connected patterns; disconnected ones whose last component in search
 # order has one or two vertices, which the search decides by bitmask alone;
-# and 2P3, whose three-vertex last component is searched.
+# 2P3, whose three-vertex last component is searched; and patterns rich in
+# twins, whose images the search keeps in ascending order.
 LEAST_WITNESS_PATTERNS = [
     "P3", "C4", "diamond", "K1,3",
     "P1+P2", "2P2", "P2+P3", "P2+P4", "2P1+P3", "3P1+P2", "P1+P4",
     "2P3",
+    "K4", "4P1", "K1,3+P1", "K3+P1", "C5",
 ]
 
 
