@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    VERTEX_LIMIT,
     Graph,
     GraphError,
     bipartite_complement,
@@ -45,10 +46,16 @@ class StructureReport:
     failures: list[str]
 
 
+def _check_order(n: int, what: str) -> None:
+    if n > VERTEX_LIMIT:
+        raise GraphError(f"{what} gives {n} vertices, above the limit of {VERTEX_LIMIT}")
+
+
 def wall(height: int) -> Graph:
     """The brick-wall graph of the given height (>= 2)."""
     if height < 2:
         raise GraphError("wall height must be at least 2")
+    _check_order((height + 1) * (2 * height + 2) - 2, f"wall height {height}")
     cols = 2 * height + 2
     drop = {(0, 0), (0, height) if height % 2 else (cols - 1, height)}
     coords = [
@@ -77,6 +84,9 @@ def complemented_wall(height: int) -> PartitionedGraph:
     Take a wall, subdivide every edge once (the fresh vertices form part B),
     then complement between the wall's two bipartition classes A and C.
     """
+    # The wall's vertices plus one per edge: (h+1)(2h+1) - 2 in the rows and
+    # h(h+1) rungs.
+    _check_order((height + 1) * (5 * height + 3) - 4, f"complemented wall height {height}")
     base = wall(height)
     ok, classes = is_bipartite(base)
     assert ok and classes is not None
@@ -126,6 +136,9 @@ def gi_reduce(g: Graph) -> PartitionedGraph:
     subdivide once (fresh vertices form C), subdivide again (fresh vertices
     form B), then complement between A and C.
     """
+    # n + 4 vertices and M = m + 4n + 6 edges before subdividing; the two
+    # subdivisions add M and then 2M vertices.
+    _check_order(13 * g.n + 3 * g.m + 22, f"reduction of a graph on {g.n} vertices and {g.m} edges")
     verts = list(g.vertices)
     base = (verts[-1] + 1) if verts else 0
     doms = [base, base + 1, base + 2, base + 3]

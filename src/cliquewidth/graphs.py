@@ -22,6 +22,13 @@ class SizeLimitError(ValueError):
     """Raised when an exact routine is asked to exceed its size limit."""
 
 
+# Most vertices that a graph read from input or built by a construction may
+# have, checked before anything is allocated.  It is above every input of
+# the tests, the benchmark and the README; an edgeless graph of this order
+# is read and searched in seconds.
+VERTEX_LIMIT = 1_000_000
+
+
 class Graph:
     """An immutable, simple, undirected graph.
 
@@ -368,6 +375,8 @@ def parse_edge_list_text(text: str) -> tuple[Graph, dict[str, frozenset[int]]]:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"bad header line {lines[0]!r}") from None
+    if n > VERTEX_LIMIT:
+        raise GraphError(f"edge list declares {n} vertices, above the limit of {VERTEX_LIMIT}")
     body = lines[1:]
     trailer = next((i for i, ln in enumerate(body) if ln.startswith("PART ")), len(body))
     if trailer != m:

@@ -18,11 +18,13 @@ graph induced on the vertices created so far:
 * therefore a state is fully described by (vertex subset S, label partition
   of S), with the edge set implicitly equal to the target's edges inside S.
 
-States are explored bottom-up over vertex subsets: singletons are created,
-two states on disjoint subsets are combined by disjoint union (same-label
-classes of the two operands fuse, which is expressed by a partial matching
-between their classes), forced joins are applied, and renames merge classes
-whose members agree on their neighbourhood outside S.
+States are evaluated on demand, top-down from the full vertex set: the
+states of a subset are built, and memoised, the first time a split of a
+larger subset asks for them.  Singletons are created, two states on disjoint
+subsets are combined by disjoint union (same-label classes of the two
+operands fuse, which is expressed by a partial matching between their
+classes), forced joins are applied, and renames merge classes whose members
+agree on their neighbourhood outside S.
 
 Twin classes.  Every class of a state on S is therefore a set of twins
 towards V - S: a created singleton trivially, and fusion and renames only
@@ -269,13 +271,10 @@ def verify_expression(e: KExpression, g: Graph) -> bool:
 # Exact solver.
 # ---------------------------------------------------------------------------
 
-def _subset_order(masks: list[int], n: int) -> tuple[list[int], bytes]:
-    """Every nonempty vertex subset S in search order, ascending by
-    (popcount, value), and t(S) for every S: the number of distinct
-    neighbourhoods outside S among the vertices of S."""
-    subsets = sorted(range(1, 1 << n), key=lambda s: (bin(s).count("1"), s))
-    twins = bytes(len({masks[v] & ~s for v in range(n) if s >> v & 1}) for s in range(1 << n))
-    return subsets, twins
+def _twin_counts(masks: list[int], n: int) -> bytes:
+    """t(S) for every vertex subset S: the number of distinct neighbourhoods
+    outside S among the vertices of S."""
+    return bytes(len({masks[v] & ~s for v in range(n) if s >> v & 1}) for s in range(1 << n))
 
 
 def _matchings(open_js: list[tuple[int, list[int]]], least: int, x: int, used: int,
@@ -297,24 +296,26 @@ def _matchings(open_js: list[tuple[int, list[int]]], least: int, x: int, used: i
             _matchings(open_js, least, x + 1, used | 1 << i, pairs + [(i, j)], out)
 
 
-def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes]):
+def _search(masks: list[int], n: int, k: int, twins: bytes):
     """Reachability over (subset, partition) states with at most k classes.
 
     Returns ((S, goal), states, rep), or None when the goal is unreachable.
     S is the full vertex set and goal the first partition reached on it;
-    states maps each searched subset to a dict from partition to the record
-    of how it was first reached; rep[m] is the neighbour mask of the least
-    vertex of m.  Deterministic: subsets ascend by (popcount, value),
-    partitions are sorted tuples of class bitmasks, and insertion order
-    fixes the records.
+    states maps each subset that was built to a dict from partition to the
+    record of how it was first reached; rep[m] is the neighbour mask of the
+    least vertex of m.  A subset is built when a split of a larger one first
+    asks for it, starting from the full set, so subsets that no split asks
+    for before the goal is found are never built.  Deterministic: the states
+    of S depend only on those of its proper subsets, splits are walked in a
+    fixed order, partitions are sorted tuples of class bitmasks, and
+    insertion order fixes the records.
 
     Every class of a state on S is a set of twins towards V - S, so subsets
-    with t(S) > k are skipped (see the module docstring).  ``order`` is
-    ``_subset_order(masks, n)``, which one prime part shares across its k
+    with t(S) > k get no states (see the module docstring).  ``twins`` is
+    ``_twin_counts(masks, n)``, which one prime part shares across its k
     levels.
     """
     full = (1 << n) - 1
-    subsets, twins = order
     common_cache: dict[int, int] = {}
 
     def common_mask(m: int) -> int:
@@ -394,38 +395,41 @@ def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes]):
         return out
 
     states: dict[int, dict[tuple, tuple]] = {}
-    for s in subsets:
+
+    def reach(s: int) -> dict[tuple, tuple]:
+        """Build and memoise the states of s from those of its splits; {}
+        when t(s) > k or nothing reaches s.  On the full set, stops at the
+        first product.  Callers look in ``states`` first."""
+        cur = states[s] = {}
         if twins[s] > k:
-            continue
-        cur: dict[tuple, tuple] = {}
-        outside = ~s
+            return cur
         if s & (s - 1) == 0:
             cur[(s,)] = ("create", s.bit_length() - 1)
-        else:
-            # Splits s = s1 | s2 with the least vertex in s1, s1 descending.
-            low = s & -s
-            rest = x = s ^ low
-            while x:
-                x = (x - 1) & rest
-                s1, s2 = low | x, rest ^ x
-                d1, d2 = states.get(s1), states.get(s2)
-                if not (d1 and d2):
-                    continue
-                side2 = [(p2, [rep[c] & outside for c in p2]) for p2 in d2]
-                for p1 in d1:
-                    sig1 = [rep[c] & outside for c in p1]
-                    for p2, sig2 in side2:
-                        for prod in union_products(p1, sig1, p2, sig2, s1, s2):
-                            if prod not in cur:
-                                cur[prod] = ("union", s1, p1, s2, p2)
-                if s == full and cur:
-                    break
-        if s == full:
-            if cur:
-                goal = next(iter(cur))
-                states[s] = cur
-                return (s, goal), states, rep
-            return None
+            return cur
+        outside = ~s
+        # Splits s = s1 | s2 with the least vertex in s1, s1 descending.
+        low = s & -s
+        rest = x = s ^ low
+        while x:
+            x = (x - 1) & rest
+            s1, s2 = low | x, rest ^ x
+            d1 = states.get(s1)
+            if d1 is None:
+                d1 = reach(s1)
+            d2 = d1 and states.get(s2)
+            if d2 is None:
+                d2 = reach(s2)
+            if not d2:
+                continue
+            side2 = [(p2, [rep[c] & outside for c in p2]) for p2 in d2]
+            for p1 in d1:
+                sig1 = [rep[c] & outside for c in p1]
+                for p2, sig2 in side2:
+                    for prod in union_products(p1, sig1, p2, sig2, s1, s2):
+                        if prod not in cur:
+                            cur[prod] = ("union", s1, p1, s2, p2)
+                            if s == full:
+                                return cur
         # Closure under renames: merge classes whose members look the same
         # from outside s.
         queue = list(cur.keys())
@@ -449,8 +453,15 @@ def _search(masks: list[int], n: int, k: int, order: tuple[list[int], bytes]):
                         if merged not in cur:
                             cur[merged] = ("merge", part, lst[a], lst[b])
                             queue.append(merged)
-        states[s] = cur
-    return None
+        return cur
+
+    goals = reach(full)
+    # reach refers to itself; dropping it frees the search states with the
+    # caller's reference rather than at the next cycle collection.
+    del reach
+    if not goals:
+        return None
+    return (full, next(iter(goals))), states, rep
 
 
 def _reconstruct(goal_key, states, rep, k: int) -> tuple[KExpression, list[int]]:
@@ -625,9 +636,9 @@ def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list
         return max(k_sub, k_quo), expr, leaves
     # Prime on n > 2 vertices: connected and co-connected, so an induced P4
     # and width >= 3 (Corneil, Perl & Stewart 1985; Courcelle & Olariu 2000).
-    order = _subset_order(masks, n)
+    twins = _twin_counts(masks, n)
     for k in range(3 if n > 2 else 1, k_max + 1):
-        found = _search(masks, n, k, order)
+        found = _search(masks, n, k, twins)
         if found is not None:
             return k, *_reconstruct(*found, k)
     return None

@@ -172,6 +172,16 @@ def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
         (["clique-width"], "11P1", "error: solver limited to 10 vertices, got 11\n"),
         (["certify", "3P1+P2"], "K17", "error: perfectness assertion needs n <= 16, got 17\n"),
         (["certify", "3P1+P2"], "K25", "error: alpha limited to 24 vertices, got 25\n"),
+        (
+            ["construct", "wall", "100000"],
+            None,
+            "error: wall height 100000 gives 20000400000 vertices, above the limit of 1000000\n",
+        ),
+        (
+            ["construct", "complemented-wall", "2000"],
+            None,
+            "error: complemented wall height 2000 gives 20015999 vertices, above the limit of 1000000\n",
+        ),
     ],
 )
 def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, err):
@@ -181,6 +191,18 @@ def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_edge_list_over_vertex_limit_exits_2(tmp_path, capsys):
+    # An 11-byte file must not make the reader allocate ten million vertices.
+    path = tmp_path / "huge.el"
+    path.write_text("10000000 0\n")
+    assert main(["check-free", str(path), "--spec", "P3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot parse {path}: edge list declares 10000000 vertices, above the limit of 1000000\n"
+    )
 
 
 @pytest.mark.parametrize(

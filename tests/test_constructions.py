@@ -116,6 +116,23 @@ def test_complemented_wall_counts():
     assert pg.graph.m == 2 * 19 + len(a_part) * len(c_part)
 
 
+@pytest.mark.parametrize(
+    "build, arg, order",
+    [(wall, h, n) for h, n in ((2, 16), (3, 30), (4, 48))]
+    + [(complemented_wall, h, n) for h, n in ((2, 35), (3, 68), (4, 111))]
+    + [(lambda text: gi_reduce(realize_text(text)), text, n) for text, n in (("P1", 35), ("C6", 118))],
+)
+def test_constructions_check_the_vertex_limit_on_their_exact_order(monkeypatch, build, arg, order):
+    # A construction refuses an order above the limit before building it,
+    # and the order it checks is the order it builds.
+    monkeypatch.setattr(constructions, "VERTEX_LIMIT", order)
+    built = build(arg)
+    assert (built if isinstance(built, Graph) else built.graph).n == order
+    monkeypatch.setattr(constructions, "VERTEX_LIMIT", order - 1)
+    with pytest.raises(GraphError, match=f"gives {order} vertices"):
+        build(arg)
+
+
 def test_complemented_wall_observations():
     for h in (2, 3):
         report = verify_complemented_wall(complemented_wall(h))

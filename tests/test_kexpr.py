@@ -297,9 +297,9 @@ def test_solver_searches_only_prime_graphs(monkeypatch, rng):
     searched = set()
     search = kexpr_module._search
 
-    def recording(masks, n, k, order):
+    def recording(masks, n, k, twins):
         searched.add((tuple(masks), n))
-        return search(masks, n, k, order)
+        return search(masks, n, k, twins)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     assert clique_width_exact(realize_text("K3+7P1"))[0] == 2
@@ -321,9 +321,9 @@ def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
     levels = []
     search = kexpr_module._search
 
-    def recording(masks, n, k, order):
+    def recording(masks, n, k, twins):
         levels.append((n, k))
-        return search(masks, n, k, order)
+        return search(masks, n, k, twins)
 
     monkeypatch.setattr(kexpr_module, "_search", recording)
     graphs = [realize_text(t) for t in ("P4", "C5", "C7", "K3+7P1", "P1")]
@@ -339,8 +339,8 @@ def test_solver_starts_prime_parts_at_width_three(monkeypatch, rng):
 def undecomposed_width(g: Graph) -> int:
     """Least k for which the subset search on the whole graph reaches it."""
     _, _, masks = bit_adjacency(g)
-    order = kexpr_module._subset_order(masks, g.n)
-    return next(k for k in range(1, 7) if kexpr_module._search(masks, g.n, k, order) is not None)
+    twins = kexpr_module._twin_counts(masks, g.n)
+    return next(k for k in range(1, 7) if kexpr_module._search(masks, g.n, k, twins) is not None)
 
 
 def test_decomposed_width_matches_whole_graph_search():
@@ -363,9 +363,9 @@ def test_search_states_are_twin_classes():
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         _, _, masks = bit_adjacency(g)
-        order = kexpr_module._subset_order(masks, n)
+        twins = kexpr_module._twin_counts(masks, n)
         for k in range(1, kexpr_module.KMAX_LIMIT + 1):
-            found = kexpr_module._search(masks, n, k, order)
+            found = kexpr_module._search(masks, n, k, twins)
             if found is None:
                 continue
             _, states, _ = found
@@ -383,6 +383,40 @@ def test_search_states_are_twin_classes():
                     for members in classes:
                         assert len({g.neighbors(v) - subset for v in members}) == 1
     assert skipped > 0
+
+
+# (graph, width, subsets with states built at that width).  The counts are
+# ceilings: the search builds a subset only when a split of a larger one asks
+# for it before the goal is found, and building fewer is never wrong.
+ON_DEMAND_CASES = [
+    ("C7", 4, 65),
+    ("rook-3x3", 5, 233),
+    ("P10", 3, 200),
+]
+
+
+def test_search_builds_subsets_on_demand():
+    # K3 x K3: adjacent when in one row or one column of a 3x3 grid.
+    rook = build_graph(9, [(a, b) for a in range(9) for b in range(a) if a // 3 == b // 3 or a % 3 == b % 3])
+    for name, k, ceiling in ON_DEMAND_CASES:
+        g = rook if name == "rook-3x3" else realize_text(name)
+        _, _, masks = bit_adjacency(g)
+        twins = kexpr_module._twin_counts(masks, g.n)
+        assert kexpr_module._search(masks, g.n, k - 1, twins) is None
+        goal, states, rep = kexpr_module._search(masks, g.n, k, twins)
+        allowed = sum(1 for s in range(1, 1 << g.n) if twins[s] <= k)
+        built = [s for s in states if twins[s] <= k]
+        assert len(built) <= ceiling < allowed
+        for s, parts in states.items():
+            for record in parts.values():
+                if record[0] == "union":
+                    _, s1, p1, s2, p2 = record
+                    assert p1 in states[s1] and p2 in states[s2]
+                elif record[0] == "merge":
+                    assert record[1] in states[s]
+        expr, leaves = kexpr_module._reconstruct(goal, states, rep, k)
+        assert sorted(leaves) == list(range(g.n))
+        assert width(expr) == k and verify_expression(expr, g)
 
 
 # Witnesses of prime graphs, as printed before decomposition was added.
