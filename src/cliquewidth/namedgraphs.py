@@ -180,49 +180,24 @@ def print_spec(spec: NamedGraphSpec) -> str:
     return "+".join(parts)
 
 
-def spec_order(spec: NamedGraphSpec) -> int:
-    """The number of vertices of the denoted graph, read off the AST
-    without building it."""
-    total = 0
+def spec_size(spec: NamedGraphSpec) -> tuple[int, int]:
+    """The numbers of vertices and edges of the denoted graph, read off the
+    AST without building it."""
+    order = edges = 0
     for mult, base in spec.terms:
         if isinstance(base, ComplementOf):
-            size = spec_order(base.inner)
-        elif base.kind == "K1s":
-            size = base.params[0] + 1
-        elif base.kind == "S":
-            size = sum(base.params) + 1
+            r, m = spec_size(base.inner)
+            m = r * (r - 1) // 2 - m
+        elif base.kind in ("K1s", "S"):
+            # Trees: a centre and legs of the given lengths.
+            r = sum(base.params) + 1
+            m = r - 1
         else:
-            size = base.params[0]
-        total += mult * size
-    return total
-
-
-def spec_edgeless(spec: NamedGraphSpec) -> bool:
-    """True iff the denoted graph has no edge, read off the AST without
-    building it."""
-    for _, base in spec.terms:
-        if isinstance(base, ComplementOf):
-            if not _spec_complete(base.inner):
-                return False
-        elif base.kind not in ("P", "K") or base.params[0] != 1:
-            return False
-    return True
-
-
-def _spec_complete(spec: NamedGraphSpec) -> bool:
-    # A union of two or more pieces has a non-edge between them.
-    if len(spec.terms) != 1 or spec.terms[0][0] != 1:
-        return False
-    base = spec.terms[0][1]
-    if isinstance(base, ComplementOf):
-        return spec_edgeless(base.inner)
-    kind, r = base.kind, base.params[0]
-    return (
-        kind == "K"
-        or (kind == "P" and r <= 2)
-        or (kind == "C" and r == 3)
-        or (kind == "K1s" and r == 1)
-    )
+            r = base.params[0]
+            m = {"P": r - 1, "C": r, "K": r * (r - 1) // 2}[base.kind]
+        order += mult * r
+        edges += mult * m
+    return order, edges
 
 
 def _realize_base(base: BaseGraph) -> Graph:

@@ -25,8 +25,7 @@ from .namedgraphs import (
     parse_spec,
     realize,
     realize_text,
-    spec_edgeless,
-    spec_order,
+    spec_size,
 )
 from .search import contains_induced, is_free
 
@@ -254,11 +253,12 @@ def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:
         pattern = h
     else:
         spec = h if isinstance(h, NamedGraphSpec) else parse_spec(h)
-        if spec_order(spec) > _LARGEST_CONTAINER:
+        order, edges = spec_size(spec)
+        if order > _LARGEST_CONTAINER:
             # Too large for any container: only an edgeless H qualifies, and
             # a named graph from outside the program may be huge, so it is
             # judged from its name without being built.
-            return spec_edgeless(spec)
+            return edges == 0
         pattern = realize(spec)
     if pattern.m == 0 and pattern.n >= 1:
         return True

@@ -37,7 +37,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 
 from .graphs import Graph, bit_adjacency
-from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize, spec_order
+from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize, spec_size
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,14 @@ def is_free(
 ) -> tuple[bool, FreenessWitness | None]:
     """True iff none of the named graphs occurs induced; else a witness.
 
-    A named graph with more vertices than the host cannot occur, and is
-    skipped without being built.
+    A named graph with more vertices, more edges or more non-edges than the
+    host cannot occur, and is skipped without being built.
     """
+    co_h = host.n * (host.n - 1) // 2 - host.m
     for spec in specs:
         parsed = spec if isinstance(spec, NamedGraphSpec) else parse_spec(spec)
-        if spec_order(parsed) > host.n:
+        r, m = spec_size(parsed)
+        if r > host.n or m > host.m or r * (r - 1) // 2 - m > co_h:
             continue
         pattern = realize(parsed)
         emb = contains_induced(host, pattern)

@@ -18,7 +18,7 @@ from cliquewidth.certificate import (
 from cliquewidth.certify import InternalContradictionError
 from cliquewidth.cli import main
 from cliquewidth.kexpr import parse_expression
-from cliquewidth.namedgraphs import spec_order
+from cliquewidth.namedgraphs import spec_size
 
 
 def write_graph(tmp_path, name, text_graph):
@@ -45,7 +45,7 @@ def test_check_free_skips_named_graphs_larger_than_the_host(tmp_path, capsys, mo
 
     def spy(spec):
         built.append(spec)
-        if spec_order(spec) > 4:
+        if spec_size(spec)[0] > 4:
             raise AssertionError(f"realized {spec}")
         return realize(spec)
 
@@ -58,6 +58,23 @@ def test_check_free_skips_named_graphs_larger_than_the_host(tmp_path, capsys, mo
     assert main(["check-free", p4, "--spec", "P99999999", "--spec", "P3"]) == 1
     assert capsys.readouterr().out == "contains P3 on vertices [0, 1, 2]\n"
     assert built == [parse_spec("P3")]
+
+
+def test_check_free_skips_named_graphs_with_more_edges_or_non_edges(tmp_path, capsys, monkeypatch):
+    # K1500 has more edges than an edgeless host and 4P1 more non-edges than
+    # K3+P1; building K1500 alone takes about a second and 500 MB.
+    def spy(spec):
+        raise AssertionError(f"realized {spec}")
+
+    monkeypatch.setattr(search_module, "realize", spy)
+    edgeless = tmp_path / "e1500.el"
+    edgeless.write_text("1500 0\n")
+    for spec in ("K1500", "co(1500P1)"):
+        assert main(["check-free", str(edgeless), "--spec", spec]) == 0
+        assert capsys.readouterr().out == "free\n"
+    k3p1 = write_graph(tmp_path, "k3p1.el", "K3+P1")
+    assert main(["check-free", k3p1, "--spec", "4P1"]) == 0
+    assert capsys.readouterr().out == "free\n"
 
 
 def test_check_free_c7_examples(tmp_path, capsys):

@@ -34,7 +34,7 @@ from cliquewidth import (
 from cliquewidth.cli import main
 from cliquewidth.graphs import bit_adjacency
 from brute import brute_has_module, brute_twin_classes, random_graph
-from cw_oracle import naive_clique_width
+from oracles import naive_clique_width
 
 
 def k4_two_label_expression():
@@ -153,7 +153,24 @@ def test_clique_width_agrees_with_naive_oracle(rng):
     # the exhaustive n <= 6 comparison runs in the acceptance suite
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 6), rng.random())
-        assert clique_width_exact(g)[0] == naive_clique_width(g)
+        assert clique_width_exact(g)[0] == naive_clique_width(g.n, g.edges())
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("P1", 1), ("3P1", 1)]
+    + [(t, 2) for t in ("P3", "C4", "K4", "K1,3", "2P2", "diamond")]
+    + [(t, 3) for t in ("P4", "P5", "C5", "C6")],
+)
+def test_naive_oracle_known_widths(text, expected):
+    g = realize_text(text)
+    assert naive_clique_width(g.n, g.edges()) == expected
+
+
+def test_naive_oracle_rejects_more_than_six_vertices():
+    g = realize_text("P7")
+    with pytest.raises(ValueError):
+        naive_clique_width(g.n, g.edges())
 
 
 def test_expr_disjoint_cliques():

@@ -9,7 +9,7 @@ from cliquewidth import (
     realize,
     realize_text,
 )
-from cliquewidth.namedgraphs import BaseGraph, ComplementOf, spec_order
+from cliquewidth.namedgraphs import BaseGraph, ComplementOf, spec_size
 
 CORPUS = [
     "P1",
@@ -129,5 +129,6 @@ def test_parse_spec_errors_are_not_cached(bad):
 def test_spec_order_matches_realized_order():
     for text in CORPUS + ["diamond", "K5", "C3+2K1,1", "co(P2+co(3P1))", "2S(1,1,1)+K1,2"]:
         spec = parse_spec(text)
-        assert spec_order(spec) == realize(spec).n, text
-    assert spec_order(parse_spec("60000P1+P99999999")) == 60000 + 99999999
+        g = realize(spec)
+        assert spec_size(spec) == (g.n, g.m), text
+    assert spec_size(parse_spec("60000P1+P99999999")) == (60000 + 99999999, 99999998)

@@ -24,7 +24,7 @@ from cliquewidth import (
     realize_text,
 )
 from cliquewidth import recognition
-from cliquewidth.namedgraphs import spec_edgeless, spec_order
+from cliquewidth.namedgraphs import spec_size
 from brute import (
     brute_alpha,
     brute_chromatic,
@@ -195,7 +195,7 @@ def _base_names(k):
 def _union_names(n):
     """Every union of base graphs with n vertices in total, each multiset once."""
     pieces = [name for k in range(1, n + 1) for name in _base_names(k)]
-    orders = [spec_order(parse_spec(name)) for name in pieces]
+    orders = [spec_size(parse_spec(name))[0] for name in pieces]
     out = []
 
     def extend(start, left, chosen):
@@ -217,7 +217,7 @@ def test_bipartite_class_bounded_from_the_name_matches_the_realized_graph():
               "co(K8)+P2", "co(co(K2)+P1)+5P1", "co(P2)+co(C3)+co(K1,1)", "co(4P1+co(4P1))"]
     for text in unions + [f"co({name})" for name in unions] + picked:
         spec = parse_spec(text)
-        assert spec_edgeless(spec) == (realize(spec).m == 0), text
+        assert (spec_size(spec)[1] == 0) == (realize(spec).m == 0), text
         assert bipartite_class_bounded(spec) == bipartite_class_bounded(realize(spec)), text
     assert bipartite_class_bounded("co(K8)") and not bipartite_class_bounded("co(8P1)")
 
