@@ -56,10 +56,8 @@ _EXPORTS = {
         "bipartite_class_bounded",
         "clique_cover_exact",
         "find_induced_cycle",
-        "find_odd_hole",
         "generate_free",
         "is_chordal",
-        "is_perfect_desk",
         "omega",
     ),
     "kexpr": (

@@ -43,15 +43,7 @@ from .graphs import (
     subgraph_complement,
 )
 from .namedgraphs import realize_text
-from .recognition import (
-    DESK_SCALE_LIMIT,
-    SizeLimitError,
-    alpha,
-    clique_cover_exact,
-    find_induced_cycle,
-    is_chordal,
-    is_perfect_desk,
-)
+from .recognition import clique_cover_exact, find_induced_cycle, is_chordal
 from .search import Embedding, FreenessWitness, contains_induced, is_free
 
 
@@ -363,7 +355,7 @@ def clique_or_independence_branch(g: Graph, s: int, t: int) -> Branch:
     if contains_induced(g, realize_text(f"K{s + 1}")) is None:
         return Branch.K_FREE
     bound = s * s * (t - 1) + 2
-    if alpha(g) >= bound:
+    if not is_free(g, [f"{bound}P1"])[0]:
         raise _contradiction(
             f"graph contains K{s + 1} and an independent set of size {bound}"
         )
@@ -520,12 +512,24 @@ def _c4_classes(
 # ---------------------------------------------------------------------------
 
 def certify_diamond_3p1p2(g: Graph) -> Certificate:
+    """Certificate for a (diamond, 3P1+P2)-free graph.
+
+    A triangle-free member is a base leaf.  A member with a triangle is
+    10P1-free (``clique_or_independence_branch``), so alpha <= 9.  Around an
+    induced C5 or C7, common neighbours of non-consecutive cycle vertices
+    are deleted and the rest falls into cliques by the cycle vertices each
+    one sees.  With no induced C5 or C7 the graph is perfect: an odd hole on
+    9 or more vertices contains 3P1+P2, an odd antihole on 7 or more
+    contains a diamond, and C5 is its own complement, so by the Strong
+    Perfect Graph Theorem (Chudnovsky, Robertson, Seymour and Thomas, Ann.
+    of Math. 2006) a minimum clique cover has alpha <= 9 parts.  That cover
+    is computed exactly, up to 24 vertices (``clique_cover_exact``).
+    """
     # The branch checks membership: co(2P1+P2) is the diamond.
     branch = clique_or_independence_branch(g, 2, 3)
     if branch is Branch.K_FREE:
         return Certificate(certificate_root(g), BaseLeaf(K3_K13P2_FREE))
 
-    # Independence is bounded: alpha <= 9 because the graph is 10P1-free.
     cyc = find_induced_cycle(g, 5) or find_induced_cycle(g, 7)
     steps = _Steps(g)
     if cyc is not None:
@@ -534,21 +538,9 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
         cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=False)
         steps.delete(cyc, "cycle-vertices", len(cyc))
     else:
-        # No induced C5 or C7 anywhere: the graph is perfect at desk scale,
-        # so a minimum clique cover has alpha-many parts.
-        if g.n > DESK_SCALE_LIMIT:
-            raise SizeLimitError(
-                f"perfectness assertion needs n <= {DESK_SCALE_LIMIT}, got {g.n}"
-            )
-        perfect, pw = is_perfect_desk(g)
-        if not perfect:
-            raise _contradiction(f"expected a perfect graph, found {pw}")
-        a = alpha(g)
-        if a > 9:
-            raise _contradiction("independence bound exceeded after branching")
         cover = clique_cover_exact(g)
-        if len(cover) != a:
-            raise _contradiction("minimum clique cover disagrees with alpha")
+        if len(cover) > 9:
+            raise _contradiction("a perfect member needs over 9 cover cliques")
 
     return Certificate(certificate_root(g), _close_by_cover(steps, cover))
 

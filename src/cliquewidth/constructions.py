@@ -46,16 +46,19 @@ class StructureReport:
     failures: list[str]
 
 
-def _check_order(n: int, what: str) -> None:
-    if n > VERTEX_LIMIT:
-        raise GraphError(f"{what} gives {n} vertices, above the limit of {VERTEX_LIMIT}")
+def _check_size(what: str, n: int, m: int = 0) -> None:
+    """Refuse a construction of ``n`` vertices and ``m`` edges before it is
+    built, if either count is above ``VERTEX_LIMIT``."""
+    for count, unit in ((n, "vertices"), (m, "edges")):
+        if count > VERTEX_LIMIT:
+            raise GraphError(f"{what} gives {count} {unit}, above the limit of {VERTEX_LIMIT}")
 
 
 def wall(height: int) -> Graph:
     """The brick-wall graph of the given height (>= 2)."""
     if height < 2:
         raise GraphError("wall height must be at least 2")
-    _check_order((height + 1) * (2 * height + 2) - 2, f"wall height {height}")
+    _check_size(f"wall height {height}", (height + 1) * (2 * height + 2) - 2)
     cols = 2 * height + 2
     drop = {(0, 0), (0, height) if height % 2 else (cols - 1, height)}
     coords = [
@@ -85,8 +88,15 @@ def complemented_wall(height: int) -> PartitionedGraph:
     then complement between the wall's two bipartition classes A and C.
     """
     # The wall's vertices plus one per edge: (h+1)(2h+1) - 2 in the rows and
-    # h(h+1) rungs.
-    _check_order((height + 1) * (5 * height + 3) - 4, f"complemented wall height {height}")
+    # h(h+1) rungs.  Each wall edge becomes two, and A and C, the colour
+    # classes of the wall, have h(h+2) vertices each and become complete to
+    # each other.
+    wall_edges = (height + 1) * (3 * height + 1) - 2
+    _check_size(
+        f"complemented wall height {height}",
+        (height + 1) * (5 * height + 3) - 4,
+        2 * wall_edges + (height * (height + 2)) ** 2,
+    )
     base = wall(height)
     ok, classes = is_bipartite(base)
     assert ok and classes is not None
@@ -137,8 +147,13 @@ def gi_reduce(g: Graph) -> PartitionedGraph:
     form B), then complement between A and C.
     """
     # n + 4 vertices and M = m + 4n + 6 edges before subdividing; the two
-    # subdivisions add M and then 2M vertices.
-    _check_order(13 * g.n + 3 * g.m + 22, f"reduction of a graph on {g.n} vertices and {g.m} edges")
+    # subdivisions add M and then 2M vertices and leave 4M edges, and A
+    # (n + 4 vertices) becomes complete to C (M vertices).
+    _check_size(
+        f"reduction of a graph on {g.n} vertices and {g.m} edges",
+        13 * g.n + 3 * g.m + 22,
+        (g.n + 8) * (g.m + 4 * g.n + 6),
+    )
     verts = list(g.vertices)
     base = (verts[-1] + 1) if verts else 0
     doms = [base, base + 1, base + 2, base + 3]

@@ -23,9 +23,11 @@ class SizeLimitError(ValueError):
 
 
 # Most vertices that a graph read from input or built by a construction may
-# have, checked before anything is allocated.  It is above every input of
-# the tests, the benchmark and the README; an edgeless graph of this order
-# is read and searched in seconds.
+# have, and most edges that a construction may build, both checked before
+# anything is allocated.  It is above every input of the tests, the
+# benchmark and the README; an edgeless graph of this order is read and
+# searched in seconds, and a construction of this many edges is built in a
+# few hundred megabytes.
 VERTEX_LIMIT = 1_000_000
 
 

@@ -2,15 +2,14 @@
 
 Everything here is exact and deterministic: independence and clique numbers
 by branch and bound, minimum clique covers by exact colouring of the
-complement, chordality by simplicial elimination, and a desk-scale
-perfectness test by a search for induced odd holes and antiholes, which,
-like every induced cycle here, ``search.contains_induced`` finds.
+complement (all three up to 24 vertices), chordality by simplicial
+elimination, and induced cycles of a given length, which
+``search.contains_induced`` finds.
 """
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .graphs import (
     Graph,
@@ -30,7 +29,6 @@ from .namedgraphs import (
 from .search import contains_induced, is_free
 
 EXACT_SCALE_LIMIT = 24
-DESK_SCALE_LIMIT = 16
 SAMPLING_LIMIT = 16
 
 
@@ -208,33 +206,6 @@ def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
         return None
     emb = contains_induced(g, realize_text(f"C{length}"))
     return None if emb is None else emb.image()
-
-
-def find_odd_hole(g: Graph) -> tuple[int, ...] | None:
-    """Shortest induced odd cycle of length >= 5 (least witness)."""
-    for length in range(5, g.n + 1, 2):
-        cyc = find_induced_cycle(g, length)
-        if cyc is not None:
-            return cyc
-    return None
-
-
-@dataclass(frozen=True)
-class PerfectnessWitness:
-    kind: str  # "odd_hole" | "odd_antihole"
-    vertices: tuple[int, ...]
-
-
-def is_perfect_desk(g: Graph) -> tuple[bool, PerfectnessWitness | None]:
-    """Desk-scale perfectness: no induced odd hole or odd antihole (>= 5)."""
-    _check_limit(g, DESK_SCALE_LIMIT, "is_perfect_desk")
-    hole = find_odd_hole(g)
-    if hole is not None:
-        return False, PerfectnessWitness("odd_hole", hole)
-    antihole = find_odd_hole(complement(g))
-    if antihole is not None:
-        return False, PerfectnessWitness("odd_antihole", antihole)
-    return True, None
 
 
 # Containers whose H-free bipartite graphs form bounded-clique-width classes,

@@ -10,6 +10,8 @@ from cliquewidth import (
     SizeLimitError,
     build_graph,
     clique_width_exact,
+    complement,
+    contains_induced,
     generate_free,
     is_free,
     realize_text,
@@ -315,6 +317,12 @@ def test_branch_examples():
     )
     with pytest.raises(NotInClassError):
         clique_or_independence_branch(realize_text("diamond"), 2, 3)
+    # The bound 4 * 10**9 - 2 exceeds the host's order, so its edgeless
+    # pattern is ruled out by size and never built.
+    assert (
+        clique_or_independence_branch(realize_text("K3"), 2, 10**9)
+        is Branch.INDEPENDENCE_BOUND
+    )
 
 
 def test_branch_never_hits_internal_error_on_members():
@@ -324,6 +332,22 @@ def test_branch_never_hits_internal_error_on_members():
             Branch.K_FREE,
             Branch.INDEPENDENCE_BOUND,
         )
+
+
+def test_branch_facts_make_members_perfect():
+    # With no induced C5 or C7, a (diamond, 3P1+P2)-free graph has no odd
+    # hole, since every longer odd hole contains 3P1+P2, and no odd antihole,
+    # since C5 is its own complement and every longer odd antihole contains
+    # a diamond.  By the Strong Perfect Graph Theorem (Chudnovsky,
+    # Robertson, Seymour and Thomas, Ann. of Math. 2006) it is then perfect,
+    # and certify_diamond_3p1p2 relies on that.
+    cases = [(realize_text(f"C{k}"), "3P1+P2") for k in (9, 11, 13, 15)]
+    cases += [(complement(realize_text(f"C{k}")), "diamond") for k in (7, 9, 11, 13, 15)]
+    for host, spec in cases:
+        pattern = realize_text(spec)
+        emb = contains_induced(host, pattern)
+        assert emb is not None and emb.validate(host, pattern)
+    assert contains_induced(complement(realize_text("C5")), realize_text("C5")) is not None
 
 
 # --- theorem certifiers -----------------------------------------------------
@@ -356,6 +380,19 @@ def test_certify_3p1p2_cycle_paths():
         s.justification for s in iter_steps(cert.step) if isinstance(s, DeleteVerticesStep)
     ]
     assert "cycle-vertices" in justs
+
+
+@pytest.mark.parametrize("text", ["K17", "K24", "C5+K20"])
+def test_certify_3p1p2_above_sixteen_vertices(text):
+    # K17 and K24 take the branch with no C5 or C7 and its exact cover;
+    # C5+K20 takes the cycle branch, which has no size limit.
+    g = realize_text(text)
+    assert verify_certificate(g, certify_diamond_3p1p2(g)).ok
+
+
+def test_certify_3p1p2_cover_limit():
+    with pytest.raises(SizeLimitError, match="^clique_cover_exact limited to 24 vertices, got 25$"):
+        certify_diamond_3p1p2(realize_text("K25"))
 
 
 def test_certify_2p1p3_chordal():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cliquewidth import Graph, realize_text, to_edge_list_text, to_graph6, verify_expression
 from cliquewidth import parse_spec, realize
@@ -187,8 +191,12 @@ def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
         (["construct", "wall", "1"], None, "error: wall height must be at least 2\n"),
         (["construct", "complemented-wall", "1"], None, "error: wall height must be at least 2\n"),
         (["clique-width"], "11P1", "error: solver limited to 10 vertices, got 11\n"),
-        (["certify", "3P1+P2"], "K17", "error: perfectness assertion needs n <= 16, got 17\n"),
-        (["certify", "3P1+P2"], "K25", "error: alpha limited to 24 vertices, got 25\n"),
+        (
+            ["construct", "complemented-wall", "60"],
+            None,
+            "error: complemented wall height 60 gives 13860478 edges, above the limit of 1000000\n",
+        ),
+        (["certify", "3P1+P2"], "K25", "error: clique_cover_exact limited to 24 vertices, got 25\n"),
         (
             ["construct", "wall", "100000"],
             None,
@@ -220,6 +228,29 @@ def test_edge_list_over_vertex_limit_exits_2(tmp_path, capsys):
     assert captured.err == (
         f"error: cannot parse {path}: edge list declares 10000000 vertices, above the limit of 1000000\n"
     )
+
+
+def test_gi_reduce_over_edge_limit_exits_2(tmp_path, capsys):
+    # 130,022 vertices are within the limit; the 400,380,048 edges are not,
+    # and are refused before anything is built.
+    path = tmp_path / "edgeless.el"
+    path.write_text("10000 0\n")
+    assert main(["construct", "gi-reduce", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: reduction of a graph on 10000 vertices and 0 edges gives 400380048 edges, "
+        "above the limit of 1000000\n"
+    )
+
+
+def test_certify_3p1p2_above_sixteen_vertices(tmp_path, capsys):
+    k17 = write_graph(tmp_path, "k17.el", "K17")
+    out_path = tmp_path / "cert.json"
+    assert main(["certify", k17, "3P1+P2", "--out", str(out_path)]) == 0
+    assert capsys.readouterr() == (f"certificate written to {out_path} (self-verified)\n", "")
+    assert main(["verify-certificate", k17, str(out_path)]) == 0
+    assert capsys.readouterr().out == "certificate valid (1 leaves)\n"
 
 
 @pytest.mark.parametrize(
@@ -382,3 +413,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def _run_quietly(argv):
+    """Exit code, stdout and stderr of an in-process run of ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "error:" not in out
+
+
+# Heights that build a small graph, or that lie beyond every limit.
+_HEIGHTS = st.one_of(st.integers(-3, 8), st.integers(min_value=10**4), st.integers(max_value=-1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_construct_integer_arguments_fuzz(tmp_path, data):
+    # Complemented walls of height 32 to 446 are within the vertex limit
+    # and above the edge limit.
+    kind = data.draw(st.sampled_from(["wall", "complemented-wall"]))
+    heights = _HEIGHTS if kind == "wall" else st.one_of(_HEIGHTS, st.integers(32, 446))
+    height = data.draw(heights)
+    argv = ["construct", kind, str(height), "--out", str(tmp_path / "out.txt")]
+    code, out, err = _run_quietly(argv)
+    _assert_clean_exit(code, out, err)
+    assert code == (0 if 2 <= height <= 8 else 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(), st.integers())
+def test_classify_pair_integer_arguments_fuzz(s, t):
+    code, out, err = _run_quietly(["classify-pair", str(s), str(t)])
+    _assert_clean_exit(code, out, err)
+    assert code == (0 if s >= 0 and t >= 0 else 2)

@@ -124,12 +124,33 @@ def test_complemented_wall_counts():
 )
 def test_constructions_check_the_vertex_limit_on_their_exact_order(monkeypatch, build, arg, order):
     # A construction refuses an order above the limit before building it,
-    # and the order it checks is the order it builds.
-    monkeypatch.setattr(constructions, "VERTEX_LIMIT", order)
+    # and the order it checks is the order it builds.  The dense
+    # constructions have more edges than vertices, and the limit bounds
+    # those too, so the build runs under the default limit.
     built = build(arg)
     assert (built if isinstance(built, Graph) else built.graph).n == order
     monkeypatch.setattr(constructions, "VERTEX_LIMIT", order - 1)
     with pytest.raises(GraphError, match=f"gives {order} vertices"):
+        build(arg)
+
+
+@pytest.mark.parametrize(
+    "build, arg, size",
+    [(complemented_wall, h, m) for h, m in ((2, 102), (3, 301), (4, 702), (5, 1413), (6, 2566))]
+    + [
+        (lambda text: gi_reduce(realize_text(text)), text, m)
+        for text, m in (("P1", 90), ("P3", 220), ("C6", 504), ("10P1", 828))
+    ],
+)
+def test_dense_constructions_check_the_limit_on_their_exact_size(monkeypatch, build, arg, size):
+    # A complemented wall has 2 m_wall + |A||C| edges and a reduction of a
+    # graph on n vertices and m edges (n + 8)(m + 4n + 6); both are refused
+    # above the limit before they are built, and the size checked is the
+    # size built.
+    monkeypatch.setattr(constructions, "VERTEX_LIMIT", size)
+    assert build(arg).graph.m == size
+    monkeypatch.setattr(constructions, "VERTEX_LIMIT", size - 1)
+    with pytest.raises(GraphError, match=f"gives {size} edges"):
         build(arg)
 
 

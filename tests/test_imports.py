@@ -31,8 +31,8 @@ EXPORTS = [
     "realize_text", "Embedding", "FreenessWitness", "are_isomorphic",
     "contains_induced", "fingerprint", "is_free",
     "GenerationBudgetError", "SizeLimitError", "alpha", "bipartite_class_bounded",
-    "clique_cover_exact", "find_induced_cycle", "find_odd_hole",
-    "generate_free", "is_chordal", "is_perfect_desk", "omega", "Create",
+    "clique_cover_exact", "find_induced_cycle", "generate_free", "is_chordal",
+    "omega", "Create",
     "ExpressionPreconditionError", "Join", "KExpression", "KExprEvalError",
     "KExprSyntaxError", "LabelledGraph", "Rename", "Union", "clique_width_exact",
     "eval_expression", "expr_disjoint_cliques", "expr_forest", "expr_max_degree_2",

@@ -12,11 +12,9 @@ from cliquewidth import (
     contains_induced,
     delete_vertices,
     find_induced_cycle,
-    find_odd_hole,
     generate_free,
     is_chordal,
     is_free,
-    is_perfect_desk,
     omega,
     parse_spec,
     print_spec,
@@ -75,15 +73,6 @@ def test_clique_cover_matches_brute_chromatic(rng):
         assert len(cover) == brute_chromatic(complement(g))
 
 
-def test_perfect_implies_cover_equals_alpha(rng):
-    checked = 0
-    while checked < 40:
-        g = random_graph(rng, rng.randint(1, 10), rng.random())
-        if is_perfect_desk(g)[0]:
-            assert len(clique_cover_exact(g)) == alpha(g)
-            checked += 1
-
-
 def test_is_chordal_examples(rng):
     for _ in range(10):
         n = rng.randint(1, 9)
@@ -129,38 +118,6 @@ def test_find_induced_cycle(rng):
             least = brute_least_induced(g, realize_text(f"C{length}"))
             expected = None if least is None else tuple(least[i] for i in range(length))
             assert find_induced_cycle(g, length) == expected
-
-
-def test_is_perfect_desk_examples():
-    ok, witness = is_perfect_desk(realize_text("C5"))
-    assert not ok and witness.kind == "odd_hole" and len(witness.vertices) == 5
-    ok, witness = is_perfect_desk(realize_text("C7"))
-    assert not ok and len(witness.vertices) == 7
-    ok, _ = is_perfect_desk(realize_text("C6"))
-    assert ok
-    # an odd antihole: the complement of C7
-    ok, witness = is_perfect_desk(complement(realize_text("C7")))
-    assert not ok and witness.kind == "odd_antihole"
-    with pytest.raises(SizeLimitError):
-        is_perfect_desk(build_graph(17, []))
-
-
-def test_is_perfect_desk_bipartite(rng):
-    for _ in range(20):
-        left = rng.randint(1, 5)
-        right = rng.randint(1, 5)
-        edges = [
-            (u, left + v)
-            for u in range(left)
-            for v in range(right)
-            if rng.random() < 0.5
-        ]
-        g = build_graph(left + right, edges)
-        assert is_perfect_desk(g)[0]
-
-
-def test_find_odd_hole_none_in_chordal():
-    assert find_odd_hole(realize_text("diamond")) is None
 
 
 def test_bipartite_class_bounded_examples():
@@ -265,8 +222,8 @@ def test_generate_free_size_limit():
         generate_free(range(4, 18), ["diamond"], 1, seed=0)
 
 
-def test_class_profile_consistency():
+def test_c6_invariants_consistency():
     c6 = realize_text("C6")
     assert alpha(c6) == 3 and omega(c6) == 2
-    assert not is_chordal(c6)[0] and is_perfect_desk(c6)[0]
+    assert not is_chordal(c6)[0]
     assert len(clique_cover_exact(c6)) == 3
