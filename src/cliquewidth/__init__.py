@@ -58,7 +58,6 @@ _EXPORTS = {
         "find_induced_cycle",
         "generate_free",
         "is_chordal",
-        "omega",
     ),
     "kexpr": (
         "Create",

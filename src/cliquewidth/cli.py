@@ -254,6 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # A deeply nested --spec, or a pattern with more vertices than the
+        # recursive search can place.
+        print("error: input is nested too deeply or too large to process", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         # Only a certifier raises InternalContradictionError, so when one is
         # raised its module is loaded; any other assertion propagates.

@@ -54,10 +54,14 @@ def _check_size(what: str, n: int, m: int = 0) -> None:
             raise GraphError(f"{what} gives {count} {unit}, above the limit of {VERTEX_LIMIT}")
 
 
-def wall(height: int) -> Graph:
-    """The brick-wall graph of the given height (>= 2)."""
+def _check_height(height: int) -> None:
     if height < 2:
         raise GraphError("wall height must be at least 2")
+
+
+def wall(height: int) -> Graph:
+    """The brick-wall graph of the given height (>= 2)."""
+    _check_height(height)
     _check_size(f"wall height {height}", (height + 1) * (2 * height + 2) - 2)
     cols = 2 * height + 2
     drop = {(0, 0), (0, height) if height % 2 else (cols - 1, height)}
@@ -90,7 +94,8 @@ def complemented_wall(height: int) -> PartitionedGraph:
     # The wall's vertices plus one per edge: (h+1)(2h+1) - 2 in the rows and
     # h(h+1) rungs.  Each wall edge becomes two, and A and C, the colour
     # classes of the wall, have h(h+2) vertices each and become complete to
-    # each other.
+    # each other.  The height is checked first: the formulas hold for h >= 2.
+    _check_height(height)
     wall_edges = (height + 1) * (3 * height + 1) - 2
     _check_size(
         f"complemented wall height {height}",

@@ -11,7 +11,8 @@ result with the private ``Graph._from_adj``, which checks nothing.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -230,13 +231,20 @@ def prune_degree_one(g: Graph) -> Graph:
 
     Each round removes every degree-1 vertex simultaneously; vertices of
     degree 0 are kept.  The result is the unique fixed point of this process.
+    The rounds are peeled from a map of current degrees, in linear time.
     """
-    cur = g
-    while True:
-        drop = [v for v in cur.vertices if cur.degree(v) == 1]
-        if not drop:
-            return cur
-        cur = delete_vertices(cur, drop)
+    degree = {v: len(nb) for v, nb in g._adj.items()}
+    layer = [v for v, d in degree.items() if d == 1]
+    drop: set[int] = set()
+    while layer:
+        drop.update(layer)
+        touched = set()
+        for v in layer:
+            for w in g._adj[v] - drop:
+                degree[w] -= 1
+                touched.add(w)
+        layer = [w for w in touched if degree[w] == 1]
+    return delete_vertices(g, drop) if drop else g
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -270,9 +278,9 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[frozenset[int], frozenset[int]] 
         if start in colour:
             continue
         colour[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in g.neighbors(u):
                 if w not in colour:
                     colour[w] = 1 - colour[u]
@@ -288,52 +296,48 @@ def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(components(g))
 
 
-def find_cycle(g: Graph) -> list[int] | None:
-    """Some cycle as a vertex list, or None in a forest (not necessarily induced)."""
-    parent: dict[int, int | None] = {}
-    for start in g.vertices:
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [(start, None)]
-        while stack:
-            u, p = stack.pop()
-            for w in sorted(g.neighbors(u)):
-                if w == p:
-                    continue
-                if w in parent:
-                    # Back edge: walk both endpoints up to their meeting point.
-                    path_u = [u]
-                    x: int | None = u
-                    while x is not None:
-                        x = parent[x]
-                        if x is not None:
-                            path_u.append(x)
-                    anc = set(path_u)
-                    cyc = [w]
-                    y: int | None = w
-                    while y not in anc:
-                        y = parent[y]
-                        assert y is not None
-                        cyc.append(y)
-                    meet = cyc[-1]
-                    cyc_u = path_u[: path_u.index(meet)]
-                    return cyc + list(reversed(cyc_u))
-                parent[w] = u
-                stack.append((w, u))
-    return None
+def _induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Every induced P3 ``(u, mid, v)``: a vertex ``mid`` with two
+    non-adjacent neighbours ``u < v``, scanning ``mid`` in vertex order and
+    then ``u`` and ``v`` in ascending order."""
+    for mid in g.vertices:
+        nbrs = sorted(g._adj[mid])
+        for i, u in enumerate(nbrs):
+            for v in nbrs[i + 1 :]:
+                if v not in g._adj[u]:
+                    yield u, mid, v
 
 
 def find_induced_p3(g: Graph) -> tuple[int, int, int] | None:
-    """The first induced P3 ``(u, mid, v)``: a vertex ``mid`` with two
-    non-adjacent neighbours ``u < v``, scanning ``mid`` in vertex order.
-    None exactly when every component is a clique."""
-    for mid in g.vertices:
-        nbrs = sorted(g.neighbors(mid))
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1 :]:
-                if not g.has_edge(u, v):
-                    return u, mid, v
+    """The first induced P3 of :func:`_induced_p3s`.  None exactly when
+    every component is a clique."""
+    return next(_induced_p3s(g), None)
+
+
+def find_hole(g: Graph) -> tuple[int, ...] | None:
+    """Some induced cycle on >= 4 vertices, or None when ``g`` is chordal.
+
+    For each induced P3 ``(u, mid, v)`` in scan order, a shortest u-v path
+    avoiding the rest of N[mid] closes an induced cycle through ``mid``; the
+    first one found is returned as ``(mid, u, ..., v)``.  The path is found
+    by breadth-first search with neighbours taken in ascending order.
+    """
+    for u, mid, v in _induced_p3s(g):
+        banned = (g._adj[mid] | {mid}) - {u, v}
+        prev: dict[int, int] = {u: u}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for w in sorted(g._adj[x]):
+                if w in banned or w in prev:
+                    continue
+                prev[w] = x
+                if w == v:
+                    path = [v]
+                    while path[-1] != u:
+                        path.append(prev[path[-1]])
+                    return (mid, *reversed(path))
+                queue.append(w)
     return None
 
 

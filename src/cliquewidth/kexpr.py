@@ -48,8 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeLimitError, bit_adjacency, components, find_cycle, find_induced_p3
-from .search import Embedding, are_isomorphic
+from .graphs import (
+    Graph, SizeLimitError, bit_adjacency, components, find_hole, find_induced_p3, is_forest
+)
+from .namedgraphs import realize_text
+from .search import Embedding, are_isomorphic, contains_induced
 
 SOLVER_LIMIT = 10
 KMAX_LIMIT = 6
@@ -703,12 +706,12 @@ def expr_disjoint_cliques(g: Graph) -> KExpression:
 
 
 def expr_forest(g: Graph) -> KExpression:
-    """Width <= 3 expression for a forest.  Raises with a cycle witness."""
+    """Width <= 3 expression for a forest.  Raises with a hole or a triangle."""
     if g.n == 0:
         raise ExpressionPreconditionError("empty graph has no expression", None)
-    cyc = find_cycle(g)
-    if cyc is not None:
-        raise ExpressionPreconditionError(f"graph has a cycle {cyc}", tuple(cyc))
+    if not is_forest(g):
+        cyc = find_hole(g) or contains_induced(g, realize_text("K3")).image()
+        raise ExpressionPreconditionError(f"graph has a cycle {list(cyc)}", cyc)
 
     # Bottom-up: the subtree root keeps label 1, retired vertices hold 3;
     # each child root is renamed to 2, joined to the root, then retired.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import Graph, build_graph, complement, disjoint_union
+from .graphs import Graph, build_graph, complement
 
 
 class SpecSyntaxError(ValueError):
@@ -232,17 +232,21 @@ def _realize_base(base: BaseGraph) -> Graph:
 
 @cache
 def realize(spec: NamedGraphSpec) -> Graph:
-    """Build the denoted graph with fresh ids 0..n-1, components in term order.
+    """Build the denoted graph with fresh ids 0..n-1, components in term order,
+    from one list of all the terms' edges.
 
     Cached per spec: specs are frozen values and graphs are immutable, so
     every caller can share one result.
     """
-    result = Graph([], [])
+    n = 0
+    edges: list[tuple[int, int]] = []
     for mult, base in spec.terms:
         piece = complement(realize(base.inner)) if isinstance(base, ComplementOf) else _realize_base(base)
+        piece_edges = piece.edges()
         for _ in range(mult):
-            result = disjoint_union(result, piece)
-    return result
+            edges.extend((n + u, n + v) for u, v in piece_edges)
+            n += piece.n
+    return build_graph(n, edges)
 
 
 def realize_text(text: str) -> Graph:

@@ -1,10 +1,10 @@
 """Exact small-scale invariants and class recognizers.
 
-Everything here is exact and deterministic: independence and clique numbers
-by branch and bound, minimum clique covers by exact colouring of the
-complement (all three up to 24 vertices), chordality by simplicial
-elimination, and induced cycles of a given length, which
-``search.contains_induced`` finds.
+Everything here is exact and deterministic: the independence number by
+branch and bound, minimum clique covers by exact colouring of the
+complement (both up to 24 vertices), chordality by simplicial elimination
+with a hole from ``graphs.find_hole`` when it fails, and induced cycles of a
+given length, which ``search.contains_induced`` finds.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .graphs import (
     bit_adjacency,
     build_graph,
     complement,
+    find_hole,
     induced_subgraph,
 )
 from .namedgraphs import (
@@ -84,12 +85,6 @@ def alpha(g: Graph) -> int:
     return size
 
 
-def omega(g: Graph) -> int:
-    """Exact clique number."""
-    _check_limit(g, EXACT_SCALE_LIMIT, "omega")
-    return alpha(complement(g))
-
-
 def clique_cover_exact(g: Graph) -> list[frozenset[int]]:
     """Minimum partition of the vertices into cliques.
 
@@ -151,52 +146,11 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     while remaining:
         pick = next((v for v in sorted(remaining) if simplicial(v)), None)
         if pick is None:
-            hole = _find_hole(induced_subgraph(g, remaining))
+            hole = find_hole(induced_subgraph(g, remaining))
             assert hole is not None
             return False, hole
         remaining.remove(pick)
     return True, None
-
-
-def _find_hole(g: Graph) -> tuple[int, ...] | None:
-    """Some induced cycle on >= 4 vertices, if one exists.
-
-    For a vertex v with non-adjacent neighbours u, w, a shortest u-w path
-    avoiding the rest of N[v] closes an induced cycle through v.
-    """
-    for v in g.vertices:
-        nbrs = sorted(g.neighbors(v))
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                if g.has_edge(u, w):
-                    continue
-                banned = (set(g.neighbors(v)) | {v}) - {u, w}
-                path = _shortest_path_avoiding(g, u, w, banned)
-                if path is not None:
-                    return tuple([v] + path)
-    return None
-
-
-def _shortest_path_avoiding(
-    g: Graph, src: int, dst: int, banned: set[int]
-) -> list[int] | None:
-    prev: dict[int, int | None] = {src: None}
-    queue = [src]
-    while queue:
-        u = queue.pop(0)
-        if u == dst:
-            path = []
-            x: int | None = u
-            while x is not None:
-                path.append(x)
-                x = prev[x]
-            return list(reversed(path))
-        for w in sorted(g.neighbors(u)):
-            if w in banned or w in prev:
-                continue
-            prev[w] = u
-            queue.append(w)
-    return None
 
 
 def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:

@@ -93,9 +93,9 @@ def _search_order(pattern: Graph) -> list[list[int]]:
             continue
         order = [start]
         seen.add(start)
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in sorted(pattern.neighbors(u), key=lambda x: (-pattern.degree(x), x)):
                 if w not in seen:
                     seen.add(w)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 
@@ -207,6 +208,7 @@ def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
             None,
             "error: complemented wall height 2000 gives 20015999 vertices, above the limit of 1000000\n",
         ),
+        (["construct", "complemented-wall", "-10000"], None, "error: wall height must be at least 2\n"),
     ],
 )
 def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, err):
@@ -216,6 +218,26 @@ def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "graph, spec",
+    [
+        # realize's cache hashes the nested spec.
+        ("4P1", "co(" * 300 + "P1" + ")" * 300),
+        # The parser recurses once per co(.
+        ("4P1", "co(" * 2000 + "P1" + ")" * 2000),
+        # The search recurses once per pattern vertex.
+        ("P1300", "P1200"),
+    ],
+)
+def test_recursion_limit_prints_one_line_and_exits_2(tmp_path, capsys, monkeypatch, graph, spec):
+    # A fresh plan cache, so the P1200 plan is not kept after the test.
+    monkeypatch.setattr(search_module, "_plan", functools.cache(search_module._plan.__wrapped__))
+    path = write_graph(tmp_path, "g.el", graph)
+    assert main(["check-free", path, "--spec", spec]) == 2
+    assert capsys.readouterr() == ("", "error: input is nested too deeply or too large to process\n")
+    assert main(["check-free", path, "--spec", "co(co(co(P1)))"]) == 1
 
 
 def test_edge_list_over_vertex_limit_exits_2(tmp_path, capsys):

@@ -31,6 +31,7 @@ from cliquewidth import (
 from cliquewidth.graphs import (
     bit_adjacency,
     delete_vertices,
+    find_hole,
     find_induced_p3,
     parse_edge_list_text,
 )
@@ -243,6 +244,54 @@ def test_find_induced_p3_first_in_scan_order(rng):
         if p3 is not None:
             u, mid, v = p3
             assert g.has_edge(u, mid) and g.has_edge(mid, v) and not g.has_edge(u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_id_graphs())
+def test_find_hole_is_an_induced_cycle_exactly_off_chordal_graphs(graph):
+    verts, edges = graph
+    g = Graph(verts, edges)
+    reference = nx.Graph(edges)
+    reference.add_nodes_from(verts)
+    hole = find_hole(g)
+    assert (hole is None) == nx.is_chordal(reference)
+    if hole is not None:
+        assert len(set(hole)) == len(hole) >= 4
+        assert all(g.has_edge(hole[i - 1], hole[i]) for i in range(len(hole)))
+        assert induced_subgraph(g, hole).m == len(hole)
+
+
+@st.composite
+def pendant_heavy_graphs(draw):
+    """Up to 14 vertices with ids from 0..40 and at most n + 2 edges, so that
+    trees, pendant paths and K2 components are common."""
+    verts = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), max_size=14)))
+    edges = set()
+    if len(verts) >= 2:
+        ends = st.sampled_from(verts)
+        for u, v in draw(st.lists(st.tuples(ends, ends), max_size=len(verts) + 2)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return Graph(verts, edges)
+
+
+def _prune_by_rounds(g):
+    """``prune_degree_one`` as a round loop that builds a new graph per
+    round: the reference for the degree-map version."""
+    cur = g
+    while True:
+        drop = [v for v in cur.vertices if cur.degree(v) == 1]
+        if not drop:
+            return cur
+        cur = delete_vertices(cur, drop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pendant_heavy_graphs())
+def test_prune_degree_one_matches_round_loop(g):
+    pruned, reference = prune_degree_one(g), _prune_by_rounds(g)
+    assert pruned == reference
+    assert (pruned is g) == (reference is g)
 
 
 def test_prune_degree_one_examples():

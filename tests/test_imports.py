@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cliquewidth"
 
 # The package's exports before they became lazy, less the deleted
-# ``ClassProfile`` and ``class_profile``.
+# ``ClassProfile``, ``class_profile`` and ``omega``.
 EXPORTS = [
     "Graph", "GraphError", "bipartite_complement", "build_graph", "complement",
     "components", "delete_vertices", "disjoint_union", "from_edge_list_text",
@@ -32,7 +32,7 @@ EXPORTS = [
     "contains_induced", "fingerprint", "is_free",
     "GenerationBudgetError", "SizeLimitError", "alpha", "bipartite_class_bounded",
     "clique_cover_exact", "find_induced_cycle", "generate_free", "is_chordal",
-    "omega", "Create",
+    "Create",
     "ExpressionPreconditionError", "Join", "KExpression", "KExprEvalError",
     "KExprSyntaxError", "LabelledGraph", "Rename", "Union", "clique_width_exact",
     "eval_expression", "expr_disjoint_cliques", "expr_forest", "expr_max_degree_2",

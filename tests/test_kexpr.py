@@ -24,6 +24,7 @@ from cliquewidth import (
     expr_forest,
     expr_max_degree_2,
     induced_subgraph,
+    is_forest,
     parse_expression,
     print_expression,
     realize_text,
@@ -201,9 +202,19 @@ def test_expr_forest(rng):
         e = expr_forest(forest)
         assert width(e) <= 3
         assert verify_expression(e, forest)
-    with pytest.raises(ExpressionPreconditionError) as err:
-        expr_forest(realize_text("C4"))
-    assert len(err.value.witness) >= 3
+    non_forests = [realize_text(text) for text in ("C4", "K3", "diamond", "C7+P2")]
+    non_forests += [random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.8])) for _ in range(40)]
+    for g in non_forests:
+        if is_forest(g):
+            continue
+        with pytest.raises(ExpressionPreconditionError) as err:
+            expr_forest(g)
+        cycle = err.value.witness
+        # The witness is a cycle of the graph: distinct vertices, each
+        # adjacent to the next and the last to the first.
+        assert len(set(cycle)) == len(cycle) >= 3
+        assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+        assert str(err.value) == f"graph has a cycle {list(cycle)}"
 
 
 def test_expr_max_degree_2(rng):

@@ -1,9 +1,12 @@
 import pytest
 
 from cliquewidth import (
+    Graph,
     NamedGraphSpec,
     SpecSyntaxError,
     are_isomorphic,
+    complement,
+    disjoint_union,
     parse_spec,
     print_spec,
     realize,
@@ -90,6 +93,26 @@ def test_realize_component_order_and_fresh_ids():
     # first component is the P2 on ids 0,1
     assert g.has_edge(0, 1) and g.degree(0) == 1
     assert g.degree(2) == 2
+
+
+def _realize_by_unions(spec):
+    """``realize`` as a fold of ``disjoint_union`` over every copy of every
+    term: the reference for the one-pass build."""
+    result = Graph([], [])
+    for mult, base in spec.terms:
+        if isinstance(base, ComplementOf):
+            piece = complement(_realize_by_unions(base.inner))
+        else:
+            piece = realize(NamedGraphSpec(((1, base),)))
+        for _ in range(mult):
+            result = disjoint_union(result, piece)
+    return result
+
+
+def test_realize_matches_fold_of_disjoint_unions():
+    for text in CORPUS + ["co(co(P3)+P1)", "3co(K3+P2)+K4", "2co(P3+2co(K2+P1))+P5", "12P1+3C4"]:
+        spec = parse_spec(text)
+        assert realize(spec) == _realize_by_unions(spec), text
 
 
 def test_realize_subdivided_claw():

@@ -15,7 +15,6 @@ from cliquewidth import (
     generate_free,
     is_chordal,
     is_free,
-    omega,
     parse_spec,
     print_spec,
     realize,
@@ -33,14 +32,13 @@ from brute import (
 )
 
 
-def test_alpha_omega_examples():
+def test_alpha_examples():
     c5 = realize_text("C5")
-    assert alpha(c5) == 2 and omega(c5) == 2
+    assert alpha(c5) == 2
     k5 = realize_text("K5")
-    assert alpha(k5) == 1 and omega(k5) == 5
+    assert alpha(k5) == 1
     d = realize_text("diamond")
     assert alpha(d) == brute_alpha(d) == 2
-    assert omega(d) == brute_alpha(complement(d)) == 3
 
 
 def test_alpha_limit():
@@ -48,10 +46,9 @@ def test_alpha_limit():
         alpha(build_graph(25, []))
 
 
-def test_alpha_equals_omega_of_complement(rng):
+def test_alpha_matches_brute_force(rng):
     for _ in range(80):
         g = random_graph(rng, rng.randint(0, 8), rng.random())
-        assert alpha(g) == omega(complement(g))
         assert alpha(g) == brute_alpha(g)
 
 
@@ -224,6 +221,6 @@ def test_generate_free_size_limit():
 
 def test_c6_invariants_consistency():
     c6 = realize_text("C6")
-    assert alpha(c6) == 3 and omega(c6) == 2
+    assert alpha(c6) == 3
     assert not is_chordal(c6)[0]
     assert len(clique_cover_exact(c6)) == 3
