@@ -12,11 +12,13 @@ answer of ``certify`` is only as good as what this module re-validates.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .graphs import (
     Graph,
     bipartite_complement,
+    components,
     delete_vertices,
     find_induced_p3,
     induced_subgraph,
@@ -28,25 +30,36 @@ from .graphs import (
 from .recognition import bipartite_class_bounded, is_chordal
 from .search import fingerprint, is_free
 
-# Every justification the certifiers write on a vertex deletion.  The
-# verifier rejects any other, so a certificate cannot delete vertices on a
+# Every justification the certifiers write on a vertex deletion, with the
+# bound its lemma puts on the number of vertices deleted: a constant, or a
+# function of named facts (a cycle length, a cover size, a per-pair limit).
+# The certifiers state these bounds and the verifier checks them; it rejects
+# any other justification, so a certificate cannot delete vertices on a
 # made-up ground.
-DELETE_JUSTIFICATIONS = frozenset(
-    {
-        "clique-independent-separators",
-        "clique-vertices-with-outside-neighbours",
-        "common-neighbours-of-nonconsecutive-cycle-pair",
-        "consecutive-pair-common-neighbours",
-        "cover-clique-below-size-threshold",
-        "cross-attached-pendants",
-        "cross-complete-vertices",
-        "cycle-vertices",
-        "opposite-pendant-pair",
-        "shared-attachment-hub",
-        "single-cycle-neighbour-vertices",
-        "small-class",
-    }
-)
+DELETE_RULES: dict[str, int | Callable[..., int]] = {
+    # An induced cycle on ``length`` vertices, one of CYCLE_LENGTHS.
+    "cycle-vertices": lambda length: length,
+    # The cover cliques below k + 7 vertices, k the size of the given cover.
+    "cover-clique-below-size-threshold": lambda k: k + 6,
+    # At most one vertex per ordered pair of the k fused cover cliques.
+    "cross-complete-vertices": lambda k: k * (k - 1),
+    # At most ``per_pair`` for each non-consecutive pair of an induced cycle
+    # on ``length`` vertices.
+    "common-neighbours-of-nonconsecutive-cycle-pair": (
+        lambda per_pair, length: per_pair * length * (length - 3) // 2
+    ),
+    "clique-independent-separators": 48,
+    "consecutive-pair-common-neighbours": 4,
+    "clique-vertices-with-outside-neighbours": 2,
+    "opposite-pendant-pair": 2,
+    "cross-attached-pendants": 2,
+    "shared-attachment-hub": 1,
+    "single-cycle-neighbour-vertices": 5,
+    "small-class": 2,
+}
+
+# The lengths of the induced cycles the certifiers work around.
+CYCLE_LENGTHS = range(4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +339,36 @@ def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> Non
         failures.append(f"{path}: unknown leaf kind {leaf.kind!r}")
 
 
+def _is_induced_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
+    """True iff ``vs`` lists, once each, the vertices of an induced cycle."""
+    inside = set(vs)
+    if len(inside) != len(vs) or any(len(g.neighbors(v) & inside) != 2 for v in inside):
+        return False
+    return len(components(induced_subgraph(g, inside))) == 1
+
+
+def _check_delete_rule(g: Graph, step: DeleteVerticesStep) -> str | None:
+    """Why ``step`` breaks its justification's rule in ``g``, or None.
+
+    The bound of ``cycle-vertices`` and of each constant rule is recomputed
+    here and caps the stated bound.  The other rules take their facts from
+    earlier or later steps, so only the stated bound caps them.
+    """
+    rule = DELETE_RULES.get(step.justification)
+    if rule is None:
+        return f"unknown justification {step.justification!r}"
+    if step.justification == "cycle-vertices":
+        if len(step.vertices) not in CYCLE_LENGTHS or not _is_induced_cycle(g, step.vertices):
+            return (
+                f"cycle-vertices {list(step.vertices)} are not an induced cycle of "
+                f"{CYCLE_LENGTHS[0]} to {CYCLE_LENGTHS[-1]} vertices"
+            )
+        rule = rule(length=len(step.vertices))
+    if isinstance(rule, int) and step.stated_bound > rule:
+        return f"stated bound {step.stated_bound} exceeds the {step.justification} bound {rule}"
+    return None
+
+
 def _replay(
     g: Graph, node: Node, path: str, failures: list[str], leaves: list[tuple[BaseLeaf, Graph]]
 ) -> None:
@@ -362,8 +405,9 @@ def _replay(
                 f"{path}: deletes {len(node.vertices)} vertices, stated bound {node.stated_bound}"
             )
             return
-        if node.justification not in DELETE_JUSTIFICATIONS:
-            failures.append(f"{path}: unknown justification {node.justification!r}")
+        failure = _check_delete_rule(g, node)
+        if failure:
+            failures.append(f"{path}: {failure}")
             return
         g = delete_vertices(g, node.vertices)
     elif isinstance(node, SubgraphComplementStep):

@@ -13,6 +13,7 @@ from enum import Enum
 from .certificate import (  # noqa: F401
     BIPARTITE_H_FREE,
     CHORDAL_DIAMOND_FREE,
+    DELETE_RULES,
     DISJOINT_CLIQUES,
     FOREST,
     K3_K13P2_FREE,
@@ -120,7 +121,12 @@ class _Steps:
         self.work = g
         self._made: list[tuple] = []
 
-    def delete(self, vs, justification: str, bound: int) -> None:
+    def delete(self, vs, justification: str, **facts: int) -> None:
+        """Delete ``vs``, stating the bound of ``justification`` at ``facts``."""
+        rule = DELETE_RULES[justification]
+        bound = rule(**facts) if callable(rule) else rule
+        if len(vs) > bound:
+            raise _contradiction(f"{len(vs)} {justification} exceed their bound {bound}")
         vs = tuple(sorted(vs))
         self.work = delete_vertices(self.work, vs)
         self._made.append((DeleteVerticesStep, vs, justification, bound))
@@ -172,7 +178,7 @@ def _reduce_steps(
     while True:
         small = next((c for c in cliques if len(c) < k_start + 7), None)
         if small is not None:
-            steps.delete(small, "cover-clique-below-size-threshold", k_start + 6)
+            steps.delete(small, "cover-clique-below-size-threshold", k=k_start)
             cliques = [c for c in cliques if c != small]
             continue
         fused = False
@@ -207,10 +213,7 @@ def _reduce_steps(
                 )
             exceptional.update(full_adj)
     if exceptional:
-        bound = k_final * (k_final - 1)
-        if len(exceptional) > bound:
-            raise _contradiction("too many cross-complete vertices")
-        steps.delete(exceptional, "cross-complete-vertices", bound)
+        steps.delete(exceptional, "cross-complete-vertices", k=k_final)
         work = steps.work
         cliques = [c - exceptional for c in cliques]
 
@@ -370,7 +373,9 @@ def clique_or_independence_branch(g: Graph, s: int, t: int) -> Branch:
 # vertices each one sees, so every class the lemmas name is one lookup.  A
 # step that several branches take is written once here, and each deletion
 # justification has one call site; only ``cycle-vertices`` is deleted by
-# every cycle branch on its own.
+# every cycle branch on its own.  A call site passes the facts (a cycle
+# length, a per-pair limit, a cover size) that ``certificate.DELETE_RULES``
+# turns into its bound, and ``_Steps.delete`` raises above that bound.
 # ---------------------------------------------------------------------------
 
 def _cycle_pairs(cyc: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -447,7 +452,8 @@ def _delete_nonconsecutive_common_neighbours(
         steps.delete(
             doomed,
             "common-neighbours-of-nonconsecutive-cycle-pair",
-            per_pair * len(non_consecutive),
+            per_pair=per_pair,
+            length=len(cyc),
         )
 
 
@@ -483,9 +489,7 @@ def _delete_consecutive_common_neighbours(steps: _Steps, cyc: tuple[int, ...]) -
         if not common:
             continue
         _assert_clique(work, common, "a consecutive-pair common neighbourhood")
-        if len(common) > 4:
-            raise _contradiction("consecutive-pair neighbourhood beats the K5 bound")
-        steps.delete(common, "consecutive-pair-common-neighbours", 4)
+        steps.delete(common, "consecutive-pair-common-neighbours")
 
 
 def _c4_classes(
@@ -536,7 +540,7 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
         _delete_nonconsecutive_common_neighbours(steps, cyc, 9)
         # Survivors see at most two, necessarily consecutive, cycle vertices.
         cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=False)
-        steps.delete(cyc, "cycle-vertices", len(cyc))
+        steps.delete(cyc, "cycle-vertices", length=len(cyc))
     else:
         cover = clique_cover_exact(g)
         if len(cover) > 9:
@@ -591,13 +595,10 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
             if not i_part:
                 continue
             separators |= clique_independent_separator(g, c_part, i_part)
-    if len(separators) > 48:
-        raise _contradiction("separator union exceeds the stated bound")
-
     steps = _Steps(g)
     if separators:
-        steps.delete(separators, "clique-independent-separators", 48)
-    steps.delete(cyc, "cycle-vertices", 4)
+        steps.delete(separators, "clique-independent-separators")
+    steps.delete(cyc, "cycle-vertices", length=len(cyc))
     work = steps.work
 
     bip_part = frozenset((indeps[0] | indeps[1]) - separators)
@@ -620,7 +621,7 @@ def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
     # The vertices that see no cycle vertex and those that see cyc[0] alone
     # form one clique.
     cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=True)
-    steps.delete(cyc, "cycle-vertices", len(cyc))
+    steps.delete(cyc, "cycle-vertices", length=len(cyc))
     return _close_by_cover(steps, cover)
 
 
@@ -687,7 +688,7 @@ def _certify_p2p3_with_k5(g: Graph) -> Node:
         detached = frozenset(work.vertices) - core
         return steps.close(_split(work, core, core_node, detached, BaseLeaf(DISJOINT_CLIQUES)))
     if attached:
-        steps.delete(attached, "clique-vertices-with-outside-neighbours", 2)
+        steps.delete(attached, "clique-vertices-with-outside-neighbours")
     return steps.close(BaseLeaf(DISJOINT_CLIQUES))
 
 
@@ -704,7 +705,7 @@ def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
     if any(len(vs) > 1 for vs in singles):
         raise _contradiction("two vertices hang off one cycle vertex")
     if singles:
-        steps.delete(set().union(*singles), "single-cycle-neighbour-vertices", 5)
+        steps.delete(set().union(*singles), "single-cycle-neighbour-vertices")
 
     work = steps.work
     k = len(cyc)
@@ -716,8 +717,8 @@ def _certify_p2p3_with_c5(g: Graph, cyc: tuple[int, ...]) -> Node:
 
     small_parts = [p for p in [x_set, *v_sets] if p and len(p) < 3]
     for part in sorted(small_parts, key=min):
-        steps.delete(part, "small-class", 2)
-    steps.delete(cyc, "cycle-vertices", 5)
+        steps.delete(part, "small-class")
+    steps.delete(cyc, "cycle-vertices", length=len(cyc))
 
     survivors = [frozenset(v for v in p if steps.work.has_vertex(v)) for p in v_sets]
     for i in range(k):
@@ -750,9 +751,7 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     # holds a single vertex and both go.
     for a, b in ((1, 3), (2, 4)):
         if w_sets[a] and w_sets[b]:
-            if len(w_sets[a]) > 1 or len(w_sets[b]) > 1:
-                raise _contradiction("opposite pendant classes are too big to clear")
-            steps.delete(w_sets[a] | w_sets[b], "opposite-pendant-pair", 2)
+            steps.delete(w_sets[a] | w_sets[b], "opposite-pendant-pair")
     # Rotate the cycle labelling so pendant classes sit at positions 1, 2.
     v1, v2, v3, v4 = cyc
     candidates = [
@@ -825,7 +824,7 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     x2 = {x for x in x_set if work.neighbors(x) & v_sets[2] and x not in x0}
 
     if not x0:
-        steps.delete(order, "cycle-vertices", 4)
+        steps.delete(order, "cycle-vertices", length=len(order))
         ok, _ = is_bipartite(steps.work)
         if not ok:
             raise _contradiction("expected a bipartite remainder around the C4")
@@ -854,7 +853,7 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             for x in x0:
                 if not work.has_edge(hub, x):
                     raise _contradiction("a doubly attached vertex avoids the shared hub")
-            steps.delete((hub,), "shared-attachment-hub", 1)
+            steps.delete((hub,), "shared-attachment-hub")
             return steps.close(_certify_p2p3_c4_core(steps.work, order))
 
     cross_w2 = [v for v in w_sets[2] if work.neighbors(v) & v_sets[1]]
@@ -862,7 +861,7 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
     if len(cross_w2) > 1 or len(cross_w1) > 1:
         raise _contradiction("two pendants reach across the C4 decomposition")
     if cross_w1 or cross_w2:
-        steps.delete(cross_w1 + cross_w2, "cross-attached-pendants", 2)
+        steps.delete(cross_w1 + cross_w2, "cross-attached-pendants")
         return steps.close(_certify_p2p3_c4_core(steps.work, order))
 
     v1p = {y for y in v_sets[1] if work.neighbors(y) & x0}
@@ -888,7 +887,7 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
                     "an attached vertex is neither single-attached nor complete"
                 )
 
-    steps.delete(order, "cycle-vertices", 4)
+    steps.delete(order, "cycle-vertices", length=len(order))
     for side, vp in ((1, v1p), (2, v2p)):
         if vp and comp[side]:
             steps.bipartite_complement(vp, comp[side])

@@ -661,15 +661,19 @@ def clique_width_exact(
         raise ValueError(f"k_max must be between 1 and {KMAX_LIMIT}")
     if g.n == 0:
         return 0, None
-    _, _, masks = bit_adjacency(g)
+    verts, _, masks = bit_adjacency(g)
     solved = _solve(masks, g.n, k_max)
     if solved is None:
         return None
-    k, expr, _ = solved
+    k, expr, leaves = solved
     if width(expr) != k:
         raise AssertionError(f"reconstructed width {width(expr)} != solver width {k}")
-    if not verify_expression(expr, g):
-        raise AssertionError("reconstructed expression failed verification")
+    # The i-th Create leaf builds vertex i and stands for verts[leaves[i]],
+    # so the witness must build exactly g's edges through that map.
+    to_g = [verts[i] for i in leaves]
+    built = {tuple(sorted((to_g[u], to_g[v]))) for u, v in eval_expression(expr).graph.edges()}
+    if sorted(leaves) != list(range(g.n)) or built != set(g.edges()):
+        raise AssertionError("reconstructed expression does not build the graph")
     return k, expr
 
 

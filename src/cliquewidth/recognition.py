@@ -9,6 +9,7 @@ given length, which ``search.contains_induced`` finds.
 from __future__ import annotations
 
 import random
+from collections import deque
 from collections.abc import Sequence
 
 from .graphs import (
@@ -134,7 +135,13 @@ def clique_cover_exact(g: Graph) -> list[frozenset[int]]:
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Perfect-elimination test; on failure returns an induced hole (>= 4)."""
+    """Perfect-elimination test; on failure returns an induced hole (>= 4).
+
+    A simplicial vertex stays simplicial when other vertices are deleted, so
+    the vertices left when none is simplicial do not depend on the order of
+    elimination.  Each vertex is checked once, and again only after one of
+    its neighbours is eliminated.
+    """
     remaining = set(g.vertices)
 
     def simplicial(v: int) -> bool:
@@ -143,13 +150,19 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
             g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]
         )
 
-    while remaining:
-        pick = next((v for v in sorted(remaining) if simplicial(v)), None)
-        if pick is None:
-            hole = find_hole(induced_subgraph(g, remaining))
-            assert hole is not None
-            return False, hole
-        remaining.remove(pick)
+    queue, queued = deque(g.vertices), set(g.vertices)
+    while queue:
+        v = queue.popleft()
+        queued.remove(v)
+        if simplicial(v):
+            remaining.remove(v)
+            fresh = [w for w in g.neighbors(v) if w in remaining and w not in queued]
+            queue.extend(fresh)
+            queued.update(fresh)
+    if remaining:
+        hole = find_hole(induced_subgraph(g, remaining))
+        assert hole is not None
+        return False, hole
     return True, None
 
 

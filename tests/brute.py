@@ -9,6 +9,7 @@ import itertools
 import random
 
 from cliquewidth import Graph, build_graph
+from cliquewidth.graphs import find_hole, induced_subgraph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -115,6 +116,24 @@ def brute_induced_cycles(g: Graph, min_len: int = 4) -> list[frozenset[int]]:
             if len(seen) == r:
                 out.append(frozenset(subset))
     return out
+
+
+def resorting_is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """Simplicial elimination that re-sorts the remaining vertices every
+    round and eliminates the least simplicial one; on failure, the hole
+    ``find_hole`` returns from the vertices left."""
+    remaining = set(g.vertices)
+
+    def simplicial(v: int) -> bool:
+        nbrs = [w for w in g.neighbors(v) if w in remaining]
+        return all(g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :])
+
+    while remaining:
+        pick = next((v for v in sorted(remaining) if simplicial(v)), None)
+        if pick is None:
+            return False, find_hole(induced_subgraph(g, remaining))
+        remaining.remove(pick)
+    return True, None
 
 
 def two_core(g: Graph) -> frozenset[int]:

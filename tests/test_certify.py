@@ -21,7 +21,7 @@ import cliquewidth.certify as certify_module
 from cliquewidth.certificate import (
     BaseLeaf,
     Certificate,
-    DELETE_JUSTIFICATIONS,
+    DELETE_RULES,
     DeleteVerticesStep,
     LEAF_WIDTH_BOUNDS,
     SplitComponentsStep,
@@ -100,14 +100,65 @@ def test_verify_rejects_unknown_justification():
 
 def test_delete_justifications_are_the_certifier_literals():
     tree = ast.parse(inspect.getsource(certify_module))
-    written = {
-        call.args[1].value
+    calls = [
+        call
         for call in ast.walk(tree)
         if isinstance(call, ast.Call)
         and isinstance(call.func, ast.Attribute)
         and call.func.attr == "delete"
-    }
-    assert written == DELETE_JUSTIFICATIONS
+    ]
+    written = {call.args[1].value for call in calls}
+    assert written == DELETE_RULES.keys() == ALLOWED_BOUNDS.keys()
+    # Each site passes its facts by keyword; the bound comes from the rule.
+    assert all(len(call.args) == 2 for call in calls)
+
+
+@pytest.mark.parametrize(
+    "justification, chunks, failure",
+    [
+        (
+            "cycle-vertices",
+            [(0, 1, 2, 3, 4), (5, 6, 7, 8)],
+            "step: cycle-vertices [0, 1, 2, 3, 4] are not an induced cycle of 4 to 7 vertices",
+        ),
+        (
+            "shared-attachment-hub",
+            [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+            "step: stated bound 3 exceeds the shared-attachment-hub bound 1",
+        ),
+    ],
+    ids=["path-chunks-as-cycles", "hub-over-its-constant"],
+)
+def test_verify_rejects_c9_forgeries(justification, chunks, failure):
+    # C9 deleted in chunks, each stating its own size as bound, over an
+    # empty leaf.
+    g = realize_text("C9")
+    node = BaseLeaf("disjoint_cliques")
+    for chunk in reversed(chunks):
+        node = DeleteVerticesStep(chunk, justification, len(chunk), node)
+    assert verify_certificate(g, Certificate(certificate_root(g), node)).failures == [failure]
+
+
+@pytest.mark.parametrize(
+    "vertices, stated, failure",
+    [
+        ((0, 1, 2, 3), 4, None),
+        ((0, 1, 2, 3), 5, "stated bound 5 exceeds the cycle-vertices bound 4"),
+        ((0, 1, 2, 3, 3), 5, "cycle-vertices [0, 1, 2, 3, 3] are not an induced cycle"),
+        ((0, 5, 6), 3, "cycle-vertices [0, 5, 6] are not an induced cycle"),
+        ((0, 1, 2, 4), 4, "cycle-vertices [0, 1, 2, 4] are not an induced cycle"),
+    ],
+    ids=["c4", "bound-above-length", "duplicate-vertex", "triangle", "not-a-cycle"],
+)
+def test_verify_cycle_vertices_bound_is_the_cycle_length(vertices, stated, failure):
+    # An induced C4 0-1-2-3, a pendant vertex 4 on 3, and a triangle 0-5-6.
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (0, 5), (0, 6), (5, 6)])
+    step = DeleteVerticesStep(vertices, "cycle-vertices", stated, BaseLeaf("forest"))
+    result = verify_certificate(g, Certificate(certificate_root(g), step))
+    if failure is None:
+        assert result.ok
+    else:
+        assert len(result.failures) == 1 and result.failures[0].startswith(f"step: {failure}")
 
 
 def test_verify_rejects_crossing_split():
@@ -228,6 +279,7 @@ def test_reduce_cross_complete_vertex():
     assert (first.vertices, first.justification, first.stated_bound) == (
         (0,), "cross-complete-vertices", 2
     )
+    assert_allowed_bounds(cert)
     assert verify_certificate(g, cert).ok
 
 
@@ -481,8 +533,12 @@ CERTIFIERS = {
     "P2+P3": certify_diamond_p2p3,
 }
 
+# The bounds each justification's lemma allows, written apart from
+# DELETE_RULES: every stated bound a certifier writes must be one of them.
 ALLOWED_BOUNDS = {
     "common-neighbours-of-nonconsecutive-cycle-pair": {45, 126, 5, 9, 14},
+    # k + 6 for a cover of k <= 15 cliques; the most is 2 * 7 + 1, around a C7.
+    "cover-clique-below-size-threshold": set(range(7, 22)),
     "clique-independent-separators": {48},
     "cycle-vertices": {4, 5, 6, 7},
     "consecutive-pair-common-neighbours": {4},
@@ -499,6 +555,16 @@ ALLOWED_BOUNDS = {
 MEMBER_SEEDS = {"2P1+P3": 1, "3P1+P2": 2, "P2+P3": 3}
 
 
+def assert_allowed_bounds(cert):
+    for step in iter_steps(cert.step):
+        if isinstance(step, DeleteVerticesStep):
+            assert len(step.vertices) <= step.stated_bound
+            assert step.stated_bound in ALLOWED_BOUNDS[step.justification], (
+                step.justification,
+                step.stated_bound,
+            )
+
+
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))
 def test_certify_random_members_end_to_end(h2, rng):
     members = generate_free(range(4, 13), ["diamond", h2], 60, seed=MEMBER_SEEDS[h2])
@@ -506,14 +572,7 @@ def test_certify_random_members_end_to_end(h2, rng):
         cert = CERTIFIERS[h2](g)
         result = verify_certificate(g, cert)
         assert result.ok, (g.edges(), result.failures)
-        for step in iter_steps(cert.step):
-            if isinstance(step, DeleteVerticesStep):
-                assert len(step.vertices) <= step.stated_bound
-                if step.justification in ALLOWED_BOUNDS:
-                    assert step.stated_bound in ALLOWED_BOUNDS[step.justification], (
-                        step.justification,
-                        step.stated_bound,
-                    )
+        assert_allowed_bounds(cert)
 
 
 def step_names(cert):
@@ -612,7 +671,9 @@ def test_certifier_outcomes_match_golden_digest():
     for g in golden_corpus():
         for h2 in sorted(CERTIFIERS):
             try:
-                outcome = certificate_to_json(CERTIFIERS[h2](g))
+                cert = CERTIFIERS[h2](g)
+                assert_allowed_bounds(cert)
+                outcome = certificate_to_json(cert)
             except NotInClassError as err:
                 outcome = f"{err.witness.spec_text} {err.witness.embedding.mapping}"
             except (InternalContradictionError, SizeLimitError) as err:

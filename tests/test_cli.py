@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -13,6 +14,7 @@ from cliquewidth import certify as certify_module
 from cliquewidth import recognition as recognition_module
 from cliquewidth import search as search_module
 from cliquewidth.certificate import (
+    DELETE_RULES,
     BaseLeaf,
     Certificate,
     certificate_from_json,
@@ -477,3 +479,111 @@ def test_classify_pair_integer_arguments_fuzz(s, t):
     code, out, err = _run_quietly(["classify-pair", str(s), str(t)])
     _assert_clean_exit(code, out, err)
     assert code == (0 if s >= 0 and t >= 0 else 2)
+
+
+@functools.cache
+def _valid_certificates():
+    """(edge-list text, vertex ids, certificate JSON object) for members
+    whose certificates hold deletions, complementations, splits, pruning and
+    every leaf kind but the explicit one."""
+    k5_with_path = [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 6), (5, 6)]
+    k5_with_detached = [(0, 1), (0, 4), (0, 8), (1, 3), (1, 4), (3, 5), (3, 6), (3, 7), (3, 8)]
+    k5_with_detached += [(4, 6), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+    double_attachment = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 1), (4, 3), (5, 0), (5, 2)]
+    double_attachment += [(6, 4), (6, 5), (4, 5)]
+    cases = [
+        (realize_text("C5"), certify_module.certify_diamond_3p1p2),
+        (realize_text("C5+K3"), certify_module.certify_diamond_3p1p2),
+        (realize_text("K10"), certify_module.certify_diamond_3p1p2),
+        (realize_text("C6"), certify_module.certify_diamond_2p1p3),
+        (realize_text("K1,3"), certify_module.certify_diamond_2p1p3),
+        (Graph(range(7), double_attachment), certify_module.certify_diamond_p2p3),
+        (Graph(range(7), k5_with_path), certify_module.certify_diamond_p2p3),
+        (Graph(range(9), k5_with_detached), certify_module.certify_diamond_p2p3),
+    ]
+    return [
+        (to_edge_list_text(g), list(g.vertices), json.loads(certificate_to_json(certifier(g))))
+        for g, certifier in cases
+    ]
+
+
+def _dicts(value):
+    """Every JSON object inside ``value``, outermost first."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _dicts(item)
+
+
+# Copied on each draw: a later change to a drawn list or object must not
+# reach the next example.
+_ODD_VALUES = st.sampled_from(
+    [None, True, 0, -1, 1.5, "x", [], [0], [[0]], {}, {"base": "forest"}]
+).map(copy.deepcopy)
+_BIG_INTS = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-1))
+
+
+def _mutate(data, obj, vertices):
+    """One change to some object inside ``obj``: a field dropped or given a
+    value of another type, children duplicated, an integer made huge or
+    negative, a justification swapped, or a ``cycle-vertices`` deletion of
+    drawn vertices, perhaps with one repeated or unknown, put above it."""
+    kind = data.draw(
+        st.sampled_from(["drop", "retype", "children", "integer", "justification", "cycle"])
+    )
+    nodes = list(_dicts(obj))
+    if kind == "justification":
+        nodes = [d for d in nodes if d.get("op") == "delete_vertices"]
+    elif kind == "cycle":
+        nodes = [d for d in nodes if "op" in d or "base" in d]
+    if not nodes:
+        return
+    node = data.draw(st.sampled_from(nodes))
+    keys = sorted(node)
+    if kind in ("drop", "retype") and keys:
+        key = data.draw(st.sampled_from(keys))
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(_ODD_VALUES)
+    elif kind == "children" and isinstance(node.get("children"), list):
+        node["children"] = node["children"] * 2
+    elif kind == "integer":
+        ints = [k for k in keys if isinstance(node[k], int)]
+        lists = [k for k in keys if isinstance(node[k], list) and node[k]]
+        if ints:
+            node[data.draw(st.sampled_from(ints))] = data.draw(_BIG_INTS)
+        elif lists:
+            values = node[data.draw(st.sampled_from(lists))]
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_BIG_INTS)
+    elif kind == "justification":
+        names = sorted(DELETE_RULES) + ["made-up"]
+        node["justification"] = data.draw(st.sampled_from(names))
+    elif kind == "cycle":
+        vs = data.draw(st.lists(st.sampled_from(vertices), min_size=3, max_size=7))
+        vs += data.draw(st.sampled_from([[], vs[:1], [-1], [len(vertices) + 7]]))
+        inner = dict(node)
+        node.clear()
+        node.update(
+            op="delete_vertices",
+            justification="cycle-vertices",
+            vertices=vs,
+            stated_bound=data.draw(st.integers(len(vs) - 1, len(vs) + 1)),
+            children=[inner],
+        )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_verify_certificate_json_fuzz(tmp_path, data):
+    text, vertices, valid = data.draw(st.sampled_from(_valid_certificates()))
+    obj = copy.deepcopy(valid)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, obj, vertices)
+    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
+    graph_path.write_text(text)
+    cert_path.write_text(json.dumps(obj))
+    code, out, err = _run_quietly(["verify-certificate", str(graph_path), str(cert_path)])
+    _assert_clean_exit(code, out, err)

@@ -123,6 +123,20 @@ def test_clique_width_returns_verified_witness(rng):
             assert verify_expression(expr, g)
 
 
+def test_clique_width_checks_the_witness_through_its_leaf_map(monkeypatch):
+    # Swapping two leaves of P4's map leaves the built graph a P4, so an
+    # isomorphism check passes it; no single swap is an automorphism of P4.
+    solve = kexpr_module._solve
+
+    def swapped(masks, n, k_max):
+        k, expr, leaves = solve(masks, n, k_max)
+        return k, expr, [leaves[1], leaves[0], *leaves[2:]]
+
+    monkeypatch.setattr(kexpr_module, "_solve", swapped)
+    with pytest.raises(AssertionError, match="does not build the graph"):
+        clique_width_exact(realize_text("P4"))
+
+
 def test_clique_width_deterministic():
     g = realize_text("C6")
     k1, e1 = clique_width_exact(g)

@@ -29,6 +29,7 @@ from brute import (
     brute_induced_cycles,
     brute_least_induced,
     random_graph,
+    resorting_is_chordal,
 )
 
 
@@ -88,6 +89,17 @@ def test_is_chordal_agrees_with_cycle_enumeration(rng):
         assert ok == (not holes)
         if witness is not None:
             assert frozenset(witness) in set(holes)
+
+
+def test_is_chordal_matches_resorting_elimination(rng):
+    # Ids spread out and out of order: the queue must not lean on them.
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        ids = rng.sample(range(10 * n), n)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i) if rng.random() < p]
+        g = Graph(ids, edges)
+        assert is_chordal(g) == resorting_is_chordal(g)
 
 
 def test_find_induced_cycle(rng):
