@@ -33,8 +33,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, filterfalse, groupby
 
 from .graphs import Graph, bit_adjacency
 from .namedgraphs import NamedGraphSpec, parse_spec, print_spec, realize, spec_size
@@ -403,23 +402,25 @@ def _refine(
         if splitter not in queued:
             continue
         queued.discard(splitter)
-        count = Counter(chain.from_iterable([adj[v] for v in cells[splitter]]))
-        groups: dict[tuple[int, int], list[int]] = {}
-        for w, c in count.items():
-            key = (cell_of[w], c)
-            vs = groups.get(key)
-            if vs is None:
-                groups[key] = [w]
-            else:
-                vs.append(w)
-        # Sorted keys list each touched cell once, its counts ascending.
-        for cid, keys in groupby(sorted(groups), itemgetter(0)):
-            parts = [groups[key] for key in keys]
+        count = Counter(chain.from_iterable(map(adj.__getitem__, cells[splitter])))
+        # Touched cells in ascending id, each one's vertices by ascending
+        # count; the stable sorts keep ``count``'s order within a count, and
+        # no step runs Python code per touched vertex.  A split relabels only
+        # its own cell's vertices, and ``groupby`` has read no further than
+        # the first vertex of the next cell, so it sees the ids from before.
+        by_cell = sorted(count, key=cell_of.__getitem__)
+        for cid, group in groupby(by_cell, cell_of.__getitem__):
+            touched = list(group)
             cell = cells[cid]
-            if len(parts) == 1 and len(parts[0]) == len(cell):
-                continue
-            if sum(map(len, parts)) < len(cell):
-                parts.insert(0, [v for v in cell if v not in count])
+            if len(set(map(count.__getitem__, touched))) == 1:
+                if len(touched) == len(cell):
+                    continue
+                parts = [touched]
+            else:
+                touched.sort(key=count.__getitem__)
+                parts = [list(vs) for _, vs in groupby(touched, count.__getitem__)]
+            if len(touched) < len(cell):
+                parts.insert(0, list(filterfalse(count.__contains__, cell)))
             if not _split(n, cell_of, cells, cid, parts, queue, queued, trail):
                 return False
     return True

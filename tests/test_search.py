@@ -427,14 +427,19 @@ def golden_iso_corpus() -> list[tuple[Graph, Graph]]:
 # Taken with the pairwise ``Embedding.validate`` and the dict-loop
 # ``_refine``: a faster engine must make every decision the same.
 GOLDEN_ISO_DIGEST = "002495bf2364be76e02881c2d218f95b7d23b7fbbc480a9162d53a0286185b0f"
+# The corpus's edges and yes/no verdicts only: no engine change, whatever
+# mapping it finds first, may move this one.
+GOLDEN_ISO_VERDICTS = "3801a3a613982429ea5d0a28d7b9ddb690da61d8c2ce9c66368ec90ebadd594a"
 
 
 def test_are_isomorphic_outcomes_match_golden_digest():
-    digest = hashlib.sha256()
+    digest, verdicts = hashlib.sha256(), hashlib.sha256()
     outcomes = []
     for g, h in golden_iso_corpus():
         emb = are_isomorphic(g, h)
         outcomes.append(emb is not None)
         digest.update(f"{g.edges()} {h.edges()} {emb.mapping if emb else None}\n".encode())
+        verdicts.update(f"{g.edges()} {h.edges()} {emb is not None}\n".encode())
     assert True in outcomes and False in outcomes
+    assert verdicts.hexdigest() == GOLDEN_ISO_VERDICTS
     assert digest.hexdigest() == GOLDEN_ISO_DIGEST
