@@ -431,13 +431,25 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
 
     Individualisation-refinement backtracking on one partition of the
     vertices of both graphs.  The root is refined once; each child pins the
-    least g-vertex of the smallest cell that holds more than one vertex of
-    each graph together with one h-vertex of that cell, and refines from the
-    pinned pair.  A branch dies as soon as a cell holds unequal numbers of
-    g- and h-vertices.  All frames share one partition: every split is
-    recorded on a trail, and a frame undoes the splits made after it before
-    it tries its next candidate (McKay & Piperno 2014).  Deterministic for
-    fixed inputs: cells and candidates are always scanned in a fixed order.
+    least g-vertex of the first open cell by id (the first cell that holds
+    more than one vertex of each graph) together with one h-vertex of that
+    cell, and refines from the pinned pair.  A branch dies as soon as a cell
+    holds unequal numbers of g- and h-vertices.  All frames share one
+    partition: every split is recorded on a trail, and a frame undoes the
+    splits made after it before it tries its next candidate (McKay &
+    Piperno 2014).
+
+    Any open cell would do: if an isomorphism respects the partition, it
+    sends the pinned g-vertex to some h-vertex of the same cell, every one
+    of which is tried, and refinement keeps it respected.  The rule only
+    sets the speed.  The root refinement numbers its parts by ascending
+    neighbour count, so the first open cell holds low-degree vertices.  The
+    smallest open cell, the usual alternative, is in a ``gi_reduce`` output
+    the four added dominating vertices: pinning one splits nothing else, so
+    a pair that refinement cannot tell apart fails once for each of their
+    4! orders.  Deterministic for fixed inputs: cell ids come from
+    neighbour counts, never from vertex ids, and candidates are tried in
+    ascending order.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
@@ -461,10 +473,9 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     # holds no list of them.
     stack: list[tuple[int, int, int, int]] = []
     while True:
-        open_cells = [i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2]
-        if not open_cells:
+        cid = next((i for i, vs in enumerate(cells) if vs is not None and len(vs) > 2), None)
+        if cid is None:
             break
-        cid = min(open_cells, key=lambda i: (len(cells[i]), i))
         u = min(v for v in cells[cid] if v < n)
         stack.append((cid, u, n - 1, len(trail)))
         refined = False

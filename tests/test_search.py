@@ -251,6 +251,61 @@ def test_are_isomorphic_refinement_equivalent_pairs():
     assert are_isomorphic(SHRIKHANDE, ROOK_4X4) is None
 
 
+def _cone(g: Graph) -> Graph:
+    apex = max(g.vertices) + 1
+    return Graph([*g.vertices, apex], [*g.edges(), *((v, apex) for v in g.vertices)])
+
+
+def _counting_refine(monkeypatch) -> list[int]:
+    calls = [0]
+    refine = search._refine
+
+    def counting(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(search, "_refine", counting)
+    return calls
+
+
+K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
+PRISM = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (realize_text("C6"), realize_text("2K3")),
+        (realize_text("C8"), realize_text("2C4")),
+        (K33, PRISM),
+        (_cone(realize_text("C6")), _cone(realize_text("2K3"))),
+        (realize_text("C10"), realize_text("2C5")),
+    ],
+    ids=["C6-2K3", "C8-2C4", "K33-prism", "cone-C6-2K3", "C10-2C5"],
+)
+def test_are_isomorphic_reduced_pairs_need_few_refinements(monkeypatch, g, h):
+    # Colour refinement cannot tell these reductions apart (equal
+    # fingerprints).  Branching on the first open cell pins the original
+    # graphs' vertices at once; pinning the four added dominating vertices
+    # first would fail once for each of their 4! orders (185 to 926
+    # refinements).
+    rg, rh = gi_reduce(g).graph, gi_reduce(h).graph
+    assert fingerprint(rg) == fingerprint(rh)
+    calls = _counting_refine(monkeypatch)
+    assert are_isomorphic(rg, rh) is None
+    assert calls[0] <= 15
+
+
+def test_are_isomorphic_reduced_strongly_regular_pair(monkeypatch):
+    # 374 vertices a side; about 465 refinements, where branching on the
+    # smallest open cell took 2729.
+    expected = nx.is_isomorphic(nx.Graph(SHRIKHANDE.edges()), nx.Graph(ROOK_4X4.edges()))
+    calls = _counting_refine(monkeypatch)
+    emb = are_isomorphic(gi_reduce(SHRIKHANDE).graph, gi_reduce(ROOK_4X4).graph)
+    assert not expected and emb is None
+    assert calls[0] <= 600
+
+
 def test_are_isomorphic_deep_search():
     # Refinement cannot split an edgeless graph, so the search pins one
     # pair per level, more levels than the interpreter allows recursion.
@@ -424,9 +479,10 @@ def golden_iso_corpus() -> list[tuple[Graph, Graph]]:
     return pairs
 
 
-# Taken with the pairwise ``Embedding.validate`` and the dict-loop
-# ``_refine``: a faster engine must make every decision the same.
-GOLDEN_ISO_DIGEST = "002495bf2364be76e02881c2d218f95b7d23b7fbbc480a9162d53a0286185b0f"
+# Taken with the search branching on the first open cell by id: a faster
+# engine must make every decision the same.  Only a change of the branching
+# rule may move it, and it must leave ``GOLDEN_ISO_VERDICTS`` as it is.
+GOLDEN_ISO_DIGEST = "ee7c732720b0b44aa997c9aafbec0b8bc12246552a97d5d16705774a7cf15612"
 # The corpus's edges and yes/no verdicts only: no engine change, whatever
 # mapping it finds first, may move this one.
 GOLDEN_ISO_VERDICTS = "3801a3a613982429ea5d0a28d7b9ddb690da61d8c2ce9c66368ec90ebadd594a"
