@@ -301,7 +301,13 @@ def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> Non
         if not ok:
             failures.append(f"{path}: leaf graph is not bipartite")
             return
-        if not bipartite_class_bounded(leaf.h):
+        try:
+            bounded = bipartite_class_bounded(leaf.h)
+        except ValueError as exc:
+            # A name that does not parse (SpecSyntaxError).
+            failures.append(f"{path}: bad forbidden graph {leaf.h!r}: {exc}")
+            return
+        if not bounded:
             failures.append(f"{path}: {leaf.h}-free bipartite graphs are not a bounded class")
             return
         free, witness = is_free(g, [leaf.h])

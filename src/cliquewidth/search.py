@@ -24,9 +24,10 @@ first embedding found by its fixed search order.
 ``fingerprint`` alone, whose colour ids are hashed into certificate roots.
 
 Each engine re-checks its embedding from scratch with ``Embedding.validate``
-before returning it.  That check compares, per pattern vertex, the image of
-its neighbourhood with the image's part of its host neighbourhood, so it is
-linear in the sizes of the two graphs.
+before returning it, and raises ``AssertionError`` if the check fails (an
+explicit raise, so ``python -O`` keeps it).  That check compares, per
+pattern vertex, the image of its neighbourhood with the image's part of its
+host neighbourhood, so it is linear in the sizes of the two graphs.
 """
 from __future__ import annotations
 
@@ -275,10 +276,12 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
         return None
     if by_id is not presence:
         lex = _backtrack(*tables, *by_id)
-        assert lex is not None
+        if lex is None:
+            raise AssertionError("the id-order search missed a copy the presence search found")
     hv = host.vertices
     emb = Embedding(tuple(zip(by_id[0], (hv[i] for i in lex))))
-    assert emb.validate(host, pattern)
+    if not emb.validate(host, pattern):
+        raise AssertionError("induced-subgraph search returned an invalid embedding")
     return emb
 
 
@@ -499,7 +502,8 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     # partner has one there: the pairs form an isomorphism.
     mapping = {gv[a]: hv[b - n] for a, b in (sorted(vs) for vs in cells if vs)}
     emb = Embedding(tuple(sorted(mapping.items())))
-    assert emb.validate(h, g)
+    if not emb.validate(h, g):
+        raise AssertionError("isomorphism search returned an invalid mapping")
     return emb
 
 

@@ -17,6 +17,7 @@ from cliquewidth.certificate import (
     DELETE_RULES,
     BaseLeaf,
     Certificate,
+    SplitComponentsStep,
     certificate_from_json,
     certificate_root,
     certificate_to_json,
@@ -387,6 +388,24 @@ def test_verify_certificate_large_bipartite_leaf(tmp_path, capsys, monkeypatch, 
     cert.write_text(certificate_to_json(Certificate(certificate_root(realize_text("P4")), leaf)))
     assert main(["verify-certificate", p4, str(cert)]) == code
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("h", ["x", "K3,3", "P"], ids=["no-name", "not-a-star", "no-order"])
+def test_verify_certificate_malformed_bipartite_leaf(tmp_path, capsys, h):
+    # A forbidden graph that does not parse is the certificate's fault: a
+    # failure line with the leaf's path and exit 1, like any other bad leaf.
+    g = realize_text("P4+P2")
+    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
+    graph_path.write_text(to_edge_list_text(g))
+    step = SplitComponentsStep(
+        ((0, 1, 2, 3), (4, 5)), (BaseLeaf("forest"), BaseLeaf("bipartite_h_free", h=h))
+    )
+    cert_path.write_text(certificate_to_json(Certificate(certificate_root(g), step)))
+    assert main(["verify-certificate", str(graph_path), str(cert_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"step.children[1]: bad forbidden graph {h!r}: ")
+    assert captured.out.count("\n") == 1
+    assert captured.err == ""
 
 
 def test_verify_certificate_deep_expression(tmp_path, capsys):

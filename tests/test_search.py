@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -304,6 +308,29 @@ def test_are_isomorphic_reduced_strongly_regular_pair(monkeypatch):
     emb = are_isomorphic(gi_reduce(SHRIKHANDE).graph, gi_reduce(ROOK_4X4).graph)
     assert not expected and emb is None
     assert calls[0] <= 600
+
+
+def test_witness_rechecks_run_under_python_O():
+    # ``python -O`` strips assert statements (the first line below shows it
+    # is on); the engines' re-checks must raise all the same.
+    code = (
+        "assert False\n"
+        "from cliquewidth import realize_text, search\n"
+        "search.Embedding.validate = lambda self, host, pattern: False\n"
+        "c5, p4 = realize_text('C5'), realize_text('P4')\n"
+        "for run in (lambda: search.contains_induced(c5, p4), lambda: search.are_isomorphic(c5, c5)):\n"
+        "    try:\n"
+        "        run()\n"
+        "        print('returned')\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\nraised\n"
 
 
 def test_are_isomorphic_deep_search():
