@@ -445,14 +445,15 @@ def are_isomorphic(g: Graph, h: Graph) -> Embedding | None:
     Any open cell would do: if an isomorphism respects the partition, it
     sends the pinned g-vertex to some h-vertex of the same cell, every one
     of which is tried, and refinement keeps it respected.  The rule only
-    sets the speed.  The root refinement numbers its parts by ascending
-    neighbour count, so the first open cell holds low-degree vertices.  The
-    smallest open cell, the usual alternative, is in a ``gi_reduce`` output
-    the four added dominating vertices: pinning one splits nothing else, so
-    a pair that refinement cannot tell apart fails once for each of their
-    4! orders.  Deterministic for fixed inputs: cell ids come from
-    neighbour counts, never from vertex ids, and candidates are tried in
-    ascending order.
+    sets the speed.  The root refinement numbers the degree classes by
+    ascending degree, and in a ``gi_reduce`` output the four added
+    dominating vertices have the highest degree, so cells of the original
+    graph's vertices get the lower ids.  The dominating vertices' cell is
+    the smallest open one, the usual choice: pinning one of them splits
+    nothing else, so branching there first fails a pair that refinement
+    cannot tell apart once for each of their 4! orders.  Deterministic for
+    fixed inputs: cell ids come from neighbour counts, never from vertex
+    ids, and candidates are tried in ascending order.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
