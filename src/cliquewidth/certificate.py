@@ -332,13 +332,12 @@ def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> Non
             failures.append(f"{path}: explicit leaf missing its expression")
             return
         try:
-            try:
-                expr = parse_expression(leaf.expression)
-            except ValueError as exc:
-                failures.append(f"{path}: bad expression: {exc}")
-                return
-            if not verify_expression(expr, g):
+            if not verify_expression(parse_expression(leaf.expression), g):
                 failures.append(f"{path}: expression does not evaluate to the leaf graph")
+        except ValueError as exc:
+            # Text that does not parse (KExprSyntaxError), or an expression
+            # that does not evaluate, such as j(1,1,v1) (KExprEvalError).
+            failures.append(f"{path}: bad expression: {exc}")
         except RecursionError:
             failures.append(f"{path}: expression is nested too deeply to check")
     else:

@@ -104,7 +104,8 @@ def complemented_wall(height: int) -> PartitionedGraph:
     )
     base = wall(height)
     ok, classes = is_bipartite(base)
-    assert ok and classes is not None
+    if not ok or classes is None:
+        raise AssertionError("wall is not bipartite")
     a_part, c_part = classes
     sub = subdivide(base, 1)
     b_part = frozenset(set(sub.vertices) - set(base.vertices))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from .graphs import (
     Graph, SizeLimitError, bit_adjacency, components, find_hole, find_induced_p3, is_forest
 )
-from .namedgraphs import realize_text
+from .namedgraphs import Scanner, realize_text
 from .search import Embedding, are_isomorphic, contains_induced
 
 SOLVER_LIMIT = 10
@@ -187,81 +187,43 @@ def print_expression(e: KExpression) -> str:
     return f"r({e.i}->{e.j},{print_expression(e.child)})"
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _label(s: Scanner) -> int:
+    s.peek()
+    start = s.pos
+    label = s.integer()
+    if label < 1:
+        raise KExprSyntaxError("labels must be positive", start)
+    return label
 
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, tok: str) -> None:
-        self._skip()
-        if not self.text.startswith(tok, self.pos):
-            raise KExprSyntaxError(f"expected {tok!r}", self.pos)
-        self.pos += len(tok)
-
-    def _int(self) -> int:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise KExprSyntaxError("expected a label", start)
-        val = int(self.text[start : self.pos])
-        if val < 1:
-            raise KExprSyntaxError("labels must be positive", start)
-        return val
-
-    def parse(self) -> KExpression:
-        e = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise KExprSyntaxError("trailing input", self.pos)
-        return e
-
-    def _expr(self) -> KExpression:
-        ch = self._peek()
-        if ch == "v":
-            self.pos += 1
-            return Create(self._int())
-        if ch == "(":
-            self.pos += 1
-            left = self._expr()
-            self._expect("|")
-            right = self._expr()
-            self._expect(")")
-            return Union(left, right)
-        if ch == "j":
-            self.pos += 1
-            self._expect("(")
-            i = self._int()
-            self._expect(",")
-            j = self._int()
-            self._expect(",")
-            child = self._expr()
-            self._expect(")")
-            return Join(i, j, child)
-        if ch == "r":
-            self.pos += 1
-            self._expect("(")
-            i = self._int()
-            self._expect("->")
-            j = self._int()
-            self._expect(",")
-            child = self._expr()
-            self._expect(")")
-            return Rename(i, j, child)
-        raise KExprSyntaxError("expected an expression", self.pos)
+def _expr(s: Scanner) -> KExpression:
+    ch = s.peek()
+    if ch == "v":
+        s.pos += 1
+        return Create(_label(s))
+    if ch == "(":
+        s.pos += 1
+        left = _expr(s)
+        s.expect("|")
+        right = _expr(s)
+        s.expect(")")
+        return Union(left, right)
+    if ch in ("j", "r"):
+        # j(i,j,e) and r(i->j,e) differ only in the separator and the node.
+        s.pos += 1
+        s.expect("(")
+        i = _label(s)
+        s.expect("," if ch == "j" else "->")
+        j = _label(s)
+        s.expect(",")
+        child = _expr(s)
+        s.expect(")")
+        return (Join if ch == "j" else Rename)(i, j, child)
+    raise KExprSyntaxError("expected an expression", s.pos)
 
 
 def parse_expression(text: str) -> KExpression:
-    return _ExprParser(text).parse()
+    return Scanner(text, KExprSyntaxError, "a label").read_all(_expr)
 
 
 def verify_expression(e: KExpression, g: Graph) -> bool:

@@ -8,11 +8,15 @@ Grammar (whitespace insignificant)::
           | "co(" expr ")" | "diamond"
 
 ``diamond`` is an alias that expands to ``co(2P1+P2)`` at parse time.
+
+``Scanner`` is the one scanner of the package's two text grammars: this
+one and the k-expressions of ``kexpr``, which reads its text through it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, TypeVar
 
 from .graphs import Graph, build_graph, complement
 
@@ -60,97 +64,105 @@ def _check_base(kind: str, params: tuple[int, ...], pos: int) -> None:
             raise SpecSyntaxError("S_{h,i,j} requires 1 <= h <= i <= j", pos)
 
 
-class _Parser:
-    def __init__(self, text: str):
+_T = TypeVar("_T")
+
+
+class Scanner:
+    """The scanning that both text grammars share: whitespace, fixed
+    tokens, unsigned integers and the end of the text.
+
+    A grammar passes the syntax error class it raises and the noun its
+    integers go by in "expected ..." messages; its rules read the text
+    through ``peek``, ``expect`` and ``integer`` and advance ``pos`` past a
+    character they have peeked at.
+    """
+
+    def __init__(self, text: str, error: type[ValueError], noun: str):
         self.text = text
         self.pos = 0
+        self.error = error
+        self.noun = noun
 
-    def _skip_ws(self) -> None:
+    def peek(self) -> str:
+        """Skip whitespace and return the next character, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expect(self, token: str) -> None:
+        self.peek()
+        if not self.text.startswith(token, self.pos):
+            raise self.error(f"expected {token!r}", self.pos)
+        self.pos += len(token)
 
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
-            raise SpecSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def _int(self) -> int:
-        self._skip_ws()
+    def integer(self) -> int:
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise SpecSyntaxError("expected an integer", start)
+            raise self.error(f"expected {self.noun}", start)
         return int(self.text[start : self.pos])
 
-    def parse(self) -> NamedGraphSpec:
-        spec = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise SpecSyntaxError("trailing input", self.pos)
-        return spec
+    def read_all(self, rule: Callable[[Scanner], _T]) -> _T:
+        """``rule(self)``, which must consume the whole text."""
+        result = rule(self)
+        if self.peek():
+            raise self.error("trailing input", self.pos)
+        return result
 
-    def _expr(self) -> NamedGraphSpec:
-        terms = [self._term()]
-        while self._peek() == "+":
-            self.pos += 1
-            terms.append(self._term())
-        return NamedGraphSpec(tuple(terms))
 
-    def _term(self) -> tuple[int, BaseGraph | ComplementOf]:
-        self._skip_ws()
-        mult = 1
-        if self._peek().isdigit():
-            pos = self.pos
-            mult = self._int()
-            if mult < 1:
-                raise SpecSyntaxError("multiplicity must be positive", pos)
-        return mult, self._base()
+def _expr(s: Scanner) -> NamedGraphSpec:
+    terms = [_term(s)]
+    while s.peek() == "+":
+        s.pos += 1
+        terms.append(_term(s))
+    return NamedGraphSpec(tuple(terms))
 
-    def _base(self) -> BaseGraph | ComplementOf:
-        ch = self._peek()
-        pos = self.pos
-        if ch in "PCK":
-            self.pos += 1
-            r = self._int()
-            if ch == "K" and self._peek() == ",":
-                if r != 1:
-                    raise SpecSyntaxError("only K1,s stars are supported", pos)
-                self.pos += 1
-                s = self._int()
-                base = BaseGraph("K1s", (s,))
-                _check_base("K1s", (s,), pos)
-                return base
-            _check_base(ch, (r,), pos)
-            return BaseGraph(ch, (r,))
-        if ch == "S":
-            self.pos += 1
-            self._expect("(")
-            h = self._int()
-            self._expect(",")
-            i = self._int()
-            self._expect(",")
-            j = self._int()
-            self._expect(")")
-            _check_base("S", (h, i, j), pos)
-            return BaseGraph("S", (h, i, j))
-        if ch == "c":
-            if self.text[self.pos : self.pos + 3] != "co(":
-                raise SpecSyntaxError("expected 'co('", self.pos)
-            self.pos += 3
-            inner = self._expr()
-            self._expect(")")
-            return ComplementOf(inner)
-        if ch == "d":
-            if self.text[self.pos : self.pos + 7] != "diamond":
-                raise SpecSyntaxError("expected 'diamond'", self.pos)
-            self.pos += 7
-            return ComplementOf(NamedGraphSpec(((2, BaseGraph("P", (1,))), (1, BaseGraph("P", (2,))))))
-        raise SpecSyntaxError("expected a graph name", self.pos)
+
+def _term(s: Scanner) -> tuple[int, BaseGraph | ComplementOf]:
+    mult = 1
+    if s.peek().isdigit():
+        pos = s.pos
+        mult = s.integer()
+        if mult < 1:
+            raise SpecSyntaxError("multiplicity must be positive", pos)
+    return mult, _base(s)
+
+
+def _base(s: Scanner) -> BaseGraph | ComplementOf:
+    ch = s.peek()
+    pos = s.pos
+    if ch in "PCK":
+        s.pos += 1
+        r = s.integer()
+        if ch == "K" and s.peek() == ",":
+            if r != 1:
+                raise SpecSyntaxError("only K1,s stars are supported", pos)
+            s.pos += 1
+            ch, r = "K1s", s.integer()
+        _check_base(ch, (r,), pos)
+        return BaseGraph(ch, (r,))
+    if ch == "S":
+        s.pos += 1
+        s.expect("(")
+        h = s.integer()
+        s.expect(",")
+        i = s.integer()
+        s.expect(",")
+        j = s.integer()
+        s.expect(")")
+        _check_base("S", (h, i, j), pos)
+        return BaseGraph("S", (h, i, j))
+    if ch == "c":
+        s.expect("co(")
+        inner = _expr(s)
+        s.expect(")")
+        return ComplementOf(inner)
+    if ch == "d":
+        s.expect("diamond")
+        return ComplementOf(NamedGraphSpec(((2, BaseGraph("P", (1,))), (1, BaseGraph("P", (2,))))))
+    raise SpecSyntaxError("expected a graph name", s.pos)
 
 
 @cache
@@ -160,7 +172,7 @@ def parse_spec(text: str) -> NamedGraphSpec:
     Cached per string, like ``realize``: specs are frozen values.  A
     malformed string is not cached and raises on every call.
     """
-    return _Parser(text).parse()
+    return Scanner(text, SpecSyntaxError, "an integer").read_all(_expr)
 
 
 def print_spec(spec: NamedGraphSpec) -> str:

@@ -161,7 +161,8 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
             queued.update(fresh)
     if remaining:
         hole = find_hole(induced_subgraph(g, remaining))
-        assert hole is not None
+        if hole is None:
+            raise AssertionError("a graph left after simplicial elimination has no hole")
         return False, hole
     return True, None
 

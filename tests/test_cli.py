@@ -25,8 +25,8 @@ from cliquewidth.certificate import (
 )
 from cliquewidth.certify import InternalContradictionError
 from cliquewidth.cli import main
-from cliquewidth.kexpr import parse_expression
-from cliquewidth.namedgraphs import spec_size
+from cliquewidth.kexpr import Create, Join, Rename, Union, parse_expression, print_expression
+from cliquewidth.namedgraphs import BaseGraph, ComplementOf, NamedGraphSpec, print_spec, spec_size
 
 
 def write_graph(tmp_path, name, text_graph):
@@ -408,6 +408,15 @@ def test_verify_certificate_malformed_bipartite_leaf(tmp_path, capsys, h):
     assert captured.err == ""
 
 
+def _write_explicit_certificate(tmp_path, g, expression):
+    """The graph file of ``g`` and a certificate of one explicit leaf."""
+    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
+    graph_path.write_text(to_edge_list_text(g))
+    leaf = BaseLeaf("explicit_expression", expression=expression)
+    cert_path.write_text(certificate_to_json(Certificate(certificate_root(g), leaf)))
+    return str(graph_path), str(cert_path)
+
+
 def test_verify_certificate_deep_expression(tmp_path, capsys):
     # A correct explicit leaf for 1100 isolated vertices, nested deeper than
     # the parser can recurse: one failure line, no traceback.
@@ -415,13 +424,21 @@ def test_verify_certificate_deep_expression(tmp_path, capsys):
     expression = "v1"
     for _ in range(g.n - 1):
         expression = f"(v1 | {expression})"
-    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
-    graph_path.write_text(to_edge_list_text(g))
-    leaf = BaseLeaf("explicit_expression", expression=expression)
-    cert_path.write_text(certificate_to_json(Certificate(certificate_root(g), leaf)))
-    assert main(["verify-certificate", str(graph_path), str(cert_path)]) == 1
+    paths = _write_explicit_certificate(tmp_path, g, expression)
+    assert main(["verify-certificate", *paths]) == 1
     captured = capsys.readouterr()
     assert captured.out == "step: expression is nested too deeply to check\n"
+    assert captured.err == ""
+
+
+def test_verify_certificate_expression_that_does_not_evaluate(tmp_path, capsys):
+    # j(1,1,v1) parses but joins a label to itself: the certificate's fault,
+    # so a failure line with the leaf's path and exit 1, like text that does
+    # not parse.
+    paths = _write_explicit_certificate(tmp_path, realize_text("P1"), "j(1,1,v1)")
+    assert main(["verify-certificate", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "step: bad expression: join requires two distinct labels, got (1,1)\n"
     assert captured.err == ""
 
 
@@ -606,3 +623,89 @@ def test_verify_certificate_json_fuzz(tmp_path, data):
     cert_path.write_text(json.dumps(obj))
     code, out, err = _run_quietly(["verify-certificate", str(graph_path), str(cert_path)])
     _assert_clean_exit(code, out, err)
+
+
+# Text grammars: runs of their tokens, and printed random trees.
+_INTEGER_TEXT = st.one_of(
+    st.integers(0, 12).map(str), st.integers(min_value=10**6).map(str), st.just("9" * 5000)
+)
+_SPACE = st.sampled_from([" ", "\t", "\n"])
+
+
+def _token_text(tokens):
+    return st.lists(st.one_of(st.sampled_from(tokens), _INTEGER_TEXT, _SPACE), max_size=12).map("".join)
+
+
+# Mostly well-formed; C1, C2 and S(h,i,j) with 0 are not.
+_SPEC_BASES = st.one_of(
+    st.builds(lambda k, r: BaseGraph(k, (r,)), st.sampled_from(["P", "C", "K", "K1s"]), st.integers(1, 6)),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3).map(lambda hij: BaseGraph("S", tuple(sorted(hij)))),
+)
+_MULTIPLICITIES = st.one_of(st.integers(1, 3), st.integers(min_value=10**6))
+
+
+def _specs_of(bases):
+    terms = st.lists(st.tuples(_MULTIPLICITIES, bases), min_size=1, max_size=3)
+    return terms.map(lambda terms: NamedGraphSpec(tuple(terms)))
+
+
+_SPECS = st.recursive(
+    _specs_of(_SPEC_BASES),
+    lambda inner: _specs_of(st.one_of(_SPEC_BASES, inner.map(ComplementOf))),
+    max_leaves=6,
+)
+_SPEC_TEXT = st.one_of(
+    _token_text(["P", "C", "K", "K1,", "S(", "co(", "diamond", "+", ",", ")"]),
+    _SPECS.map(print_spec),
+    st.builds(
+        lambda depth, spec: "co(" * depth + spec + ")" * depth,
+        st.one_of(st.integers(1, 5), st.integers(250, 3000)),
+        st.sampled_from(["P1", "diamond", "2P1+P2"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SPEC_TEXT)
+def test_check_free_spec_fuzz(tmp_path, text):
+    graph_path = tmp_path / "g.el"
+    graph_path.write_text(to_edge_list_text(realize_text("C5+P3")))
+    code, out, err = _run_quietly(["check-free", str(graph_path), "--spec", text])
+    _assert_clean_exit(code, out, err)
+    try:
+        parse_spec(text)
+    except ValueError as exc:
+        # A spec that does not parse is reported as it was raised.
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    except RecursionError:
+        assert code == 2
+
+
+_LABELS = st.integers(1, 3)
+_EXPRESSIONS = st.recursive(
+    st.builds(Create, _LABELS),
+    lambda inner: st.one_of(
+        st.builds(Union, inner, inner),
+        st.builds(Join, _LABELS, _LABELS, inner),
+        st.builds(Rename, _LABELS, _LABELS, inner),
+    ),
+    max_leaves=8,
+)
+_EXPRESSION_TEXT = st.one_of(
+    _token_text(["v", "(", "|", ")", "j(", "r(", ",", "->"]),
+    _EXPRESSIONS.map(print_expression),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["P1", "K2", "2P1", "P3"]), _EXPRESSION_TEXT)
+def test_verify_certificate_expression_fuzz(tmp_path, graph, text):
+    paths = _write_explicit_certificate(tmp_path, realize_text(graph), text)
+    code, out, err = _run_quietly(["verify-certificate", *paths])
+    # An explicit leaf is the certificate's to get right: whatever its text,
+    # the verdict is valid or a failure line at the leaf, never an error.
+    assert (code, err) in ((0, ""), (1, ""))
+    if code == 0:
+        assert out == "certificate valid (1 leaves)\n"
+    else:
+        assert out.startswith("step: ") and out.count("\n") == 1

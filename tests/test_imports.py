@@ -1,4 +1,5 @@
-"""What each entry point loads, and which modules the package may import.
+"""What each entry point loads, which modules the package may import, and
+which statements its source may hold.
 
 A test process has already imported every module, so loading is checked
 in fresh interpreters.
@@ -190,6 +191,13 @@ def test_runtime_imports_only_the_standard_library(path):
         for name in names:
             where = f"{path.name}:{node.lineno}"
             assert name.split(".")[0] in sys.stdlib_module_names, f"{where} imports {name}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips assert statements; a check must raise on its own.
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} has an assert statement"
 
 
 @pytest.mark.parametrize("name", ["__init__.py", "cli.py"])

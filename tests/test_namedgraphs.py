@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from cliquewidth import (
@@ -12,6 +15,7 @@ from cliquewidth import (
     realize,
     realize_text,
 )
+from cliquewidth.kexpr import parse_expression, print_expression
 from cliquewidth.namedgraphs import BaseGraph, ComplementOf, spec_size
 
 CORPUS = [
@@ -155,3 +159,92 @@ def test_spec_order_matches_realized_order():
         g = realize(spec)
         assert spec_size(spec) == (g.n, g.m), text
     assert spec_size(parse_spec("60000P1+P99999999")) == (60000 + 99999999, 99999998)
+
+
+# Token alphabets of the two text grammars, with near misses, a
+# non-ASCII digit and a tab.
+SPEC_TOKENS = ["P", "C", "K", "K1,", "S(", "co(", "diamond", "dia", "c", "d", "0", "1", "2", "3", "12",
+               "+", ",", ")", "(", " ", "\t", "x", "\u00b2"]
+EXPR_TOKENS = ["v", "(", "|", ")", "j(", "r(", ",", "->", "-", ">", "0", "1", "2", "3", "12",
+               " ", "\t", "x", "\u00b2"]
+
+
+def _spec_tokens(rng, depth=0):
+    """The tokens of a random spec, from the grammar with small integers."""
+    out = []
+    for t in range(rng.randint(1, 3)):
+        if t:
+            out.append("+")
+        if rng.random() < 0.3:
+            out.append(rng.choice(["0", "1", "2", "3"]))
+        kind = rng.choice(["P", "C", "K", "K1,", "S(", "co(", "diamond"] if depth < 2 else ["P", "K", "diamond"])
+        if kind == "co(":
+            out += ["co(", *_spec_tokens(rng, depth + 1), ")"]
+        elif kind == "S(":
+            h, i, j = [rng.choice("0123") for _ in range(3)]
+            out += ["S(", h, ",", i, ",", j, ")"]
+        elif kind == "diamond":
+            out.append(kind)
+        else:
+            out += [kind, rng.choice(["0", "1", "2", "3", "5", "12"])]
+    return out
+
+
+def _expr_tokens(rng, depth=0):
+    """The tokens of a random k-expression, labels 0 to 3."""
+    kind = rng.choice("v|jr") if depth < 4 else "v"
+    if kind == "v":
+        return ["v", rng.choice("0123")]
+    if kind == "|":
+        return ["(", *_expr_tokens(rng, depth + 1), "|", *_expr_tokens(rng, depth + 1), ")"]
+    sep = "," if kind == "j" else "->"
+    return [kind + "(", rng.choice("0123"), sep, rng.choice("0123"), ",", *_expr_tokens(rng, depth + 1), ")"]
+
+
+def _parse_corpus(rng, grammar_tokens, alphabet, count):
+    """``count`` strings: grammar output with up to two token edits (a
+    deletion, insertion or replacement), or runs of alphabet tokens."""
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            tokens = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
+        else:
+            tokens = grammar_tokens(rng)
+            for _ in range(rng.randint(0, 2)):
+                at = rng.randrange(len(tokens) + 1)
+                edit = rng.choice(["delete", "insert", "replace"])
+                if edit == "insert" or at == len(tokens):
+                    tokens.insert(at, rng.choice(alphabet))
+                elif edit == "delete":
+                    del tokens[at]
+                else:
+                    tokens[at] = rng.choice(alphabet)
+        texts.append("".join(tokens))
+    return texts
+
+
+def _parse_outcome(parse, show, text):
+    try:
+        return show(parse(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc} @ {getattr(exc, 'position', None)}"
+
+
+# SHA-256 over the outcome of parse_spec and parse_expression on 2000
+# seeded strings each: the printed AST, or the exception's type, message
+# and position.  Taken before the two parsers shared one scanner; a change
+# of scanning must leave every message and position as it is.
+GOLDEN_PARSE_DIGEST = "39ff4d7e82af39635c23068d00635168ee599d37f509a70e741e8c0866f4b520"
+
+
+def test_parse_outcomes_match_golden_digest():
+    rng = random.Random(1406)
+    digest = hashlib.sha256()
+    for parse, show, grammar_tokens, alphabet in (
+        (parse_spec, print_spec, _spec_tokens, SPEC_TOKENS),
+        (parse_expression, print_expression, _expr_tokens, EXPR_TOKENS),
+    ):
+        for text in _parse_corpus(rng, grammar_tokens, alphabet, 2000):
+            outcome = _parse_outcome(parse, show, text)
+            digest.update(f"{text!r} -> {outcome}\n".encode())
+    assert digest.hexdigest() == GOLDEN_PARSE_DIGEST
