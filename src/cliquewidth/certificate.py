@@ -307,6 +307,9 @@ def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> Non
             # A name that does not parse (SpecSyntaxError).
             failures.append(f"{path}: bad forbidden graph {leaf.h!r}: {exc}")
             return
+        except RecursionError:
+            failures.append(f"{path}: forbidden graph is nested too deeply to check")
+            return
         if not bounded:
             failures.append(f"{path}: {leaf.h}-free bipartite graphs are not a bounded class")
             return

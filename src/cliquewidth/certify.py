@@ -6,7 +6,9 @@ independent verifier there replays.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
+from itertools import combinations, permutations
 
 # certificate_from_json, certificate_to_json and verify_certificate are
 # re-exported: bench/ calls them through this module.
@@ -173,45 +175,34 @@ def _reduce_steps(
     cliques = sorted((frozenset(p) for p in cover if p), key=min)
     k_start = len(cliques)
 
-    # Normalise: drop cliques below the size threshold k+7 (k the size of
-    # the given cover), then fuse completely adjacent pairs exhaustively.
-    while True:
-        small = next((c for c in cliques if len(c) < k_start + 7), None)
-        if small is not None:
-            steps.delete(small, "cover-clique-below-size-threshold", k=k_start)
-            cliques = [c for c in cliques if c != small]
-            continue
-        fused = False
-        for i in range(len(cliques)):
-            for j in range(i + 1, len(cliques)):
-                ci, cj = cliques[i], cliques[j]
-                if all(steps.work.has_edge(u, v) for u in ci for v in cj):
-                    cliques = [c for k, c in enumerate(cliques) if k not in (i, j)]
-                    cliques.append(ci | cj)
-                    cliques.sort(key=min)
-                    fused = True
-                    break
-            if fused:
-                break
-        if not fused:
-            break
+    # Normalise: drop the cliques below the size threshold k+7 (k the size
+    # of the given cover), then fuse completely adjacent pairs until none
+    # is left; a fused clique is never small.
+    for c in cliques:
+        if len(c) < k_start + 7:
+            steps.delete(c, "cover-clique-below-size-threshold", k=k_start)
+    cliques = [c for c in cliques if len(c) >= k_start + 7]
+    work = steps.work
+    while pair := next(
+        (
+            (a, b)
+            for a, b in combinations(cliques, 2)
+            if all(work.has_edge(u, v) for u in a for v in b)
+        ),
+        None,
+    ):
+        cliques = sorted([c for c in cliques if c not in pair] + [pair[0] | pair[1]], key=min)
 
     k_final = len(cliques)
-    work = steps.work
 
     # Drop the at most one vertex per ordered clique pair that is completely
     # adjacent to the other clique.
     exceptional: set[int] = set()
-    for i in range(k_final):
-        for j in range(k_final):
-            if i == j:
-                continue
-            full_adj = [x for x in cliques[i] if cliques[j] <= work.neighbors(x)]
-            if len(full_adj) > 1:
-                raise _contradiction(
-                    "two vertices of one cover clique are complete to another"
-                )
-            exceptional.update(full_adj)
+    for ci, cj in permutations(cliques, 2):
+        full_adj = [x for x in ci if cj <= work.neighbors(x)]
+        if len(full_adj) > 1:
+            raise _contradiction("two vertices of one cover clique are complete to another")
+        exceptional.update(full_adj)
     if exceptional:
         steps.delete(exceptional, "cross-complete-vertices", k=k_final)
         work = steps.work
@@ -224,23 +215,19 @@ def _reduce_steps(
         return BaseLeaf(DISJOINT_CLIQUES)
 
     if k_final >= 4:
-        cross = None
-        for i in range(k_final):
-            for j in range(i + 1, k_final):
-                pairs = sorted(
-                    (u, v)
-                    for u in cliques[i]
-                    for v in work.neighbors(u)
-                    if v in cliques[j]
-                )
-                if pairs:
-                    cross = (i, j, *pairs[0])
-                    break
-            if cross:
-                break
+        # The least (i, j, u, v) with u in clique i adjacent to v in clique j.
+        cross = min(
+            (
+                (i, j, u, v)
+                for i, j in combinations(range(k_final), 2)
+                for u in cliques[i]
+                for v in work.neighbors(u) & cliques[j]
+            ),
+            default=None,
+        )
         if cross is None:
             return BaseLeaf(DISJOINT_CLIQUES)
-        return _two_p2_p4_witness(work, cliques, cross[0], cross[1], cross[2], cross[3])
+        return _two_p2_p4_witness(work, cliques, *cross)
 
     # k' <= 3: complementing inside each clique leaves maximum degree <= 2.
     for c in cliques:
@@ -511,6 +498,22 @@ def _c4_classes(
     return w_sets, v_sets, _seeing(classes)
 
 
+def _first_case(
+    g: Graph, cases: list[tuple[str, Callable[[Graph, tuple[int, ...]], Node]]]
+) -> Node:
+    """The node of the first case whose pattern ``g`` contains, built from
+    the image of its least copy.  A case list holds every hole a member of
+    its class can contain, so with no case ``g`` is chordal."""
+    for spec, branch in cases:
+        emb = contains_induced(g, realize_text(spec))
+        if emb is not None:
+            return branch(g, emb.image())
+    chordal, hole = is_chordal(g)
+    if not chordal:
+        raise _contradiction(f"unexpected induced hole {hole}")
+    return BaseLeaf(CHORDAL_DIAMOND_FREE)
+
+
 # ---------------------------------------------------------------------------
 # Certifier for (diamond, 3P1+P2)-free graphs.
 # ---------------------------------------------------------------------------
@@ -555,20 +558,9 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
 
 def certify_diamond_2p1p3(g: Graph) -> Certificate:
     _require_free(g, ["diamond", "2P1+P3"])
-
-    c4 = find_induced_cycle(g, 4)
-    if c4 is not None:
-        return Certificate(certificate_root(g), _certify_2p1p3_around_c4(g, c4))
-
-    for length in (5, 6, 7):
-        cyc = find_induced_cycle(g, length)
-        if cyc is not None:
-            return Certificate(certificate_root(g), _certify_2p1p3_around_long_cycle(g, cyc))
-
-    chordal, hole = is_chordal(g)
-    if not chordal:
-        raise _contradiction(f"unexpected induced hole {hole}")
-    return Certificate(certificate_root(g), BaseLeaf(CHORDAL_DIAMOND_FREE))
+    cases = [("C4", _certify_2p1p3_around_c4)]
+    cases += [(f"C{length}", _certify_2p1p3_around_long_cycle) for length in (5, 6, 7)]
+    return Certificate(certificate_root(g), _first_case(g, cases))
 
 
 def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
@@ -631,25 +623,17 @@ def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
 
 def certify_diamond_p2p3(g: Graph) -> Certificate:
     _require_free(g, ["diamond", "P2+P3"])
-
-    if contains_induced(g, realize_text("K5")) is not None:
-        return Certificate(certificate_root(g), _certify_p2p3_with_k5(g))
-    c5 = find_induced_cycle(g, 5)
-    if c5 is not None:
-        return Certificate(certificate_root(g), _certify_p2p3_with_c5(g, c5))
-    c4 = find_induced_cycle(g, 4)
-    if c4 is not None:
-        return Certificate(certificate_root(g), _certify_p2p3_with_c4(g, c4))
-    c6 = find_induced_cycle(g, 6)
-    if c6 is not None:
-        return Certificate(certificate_root(g), _certify_p2p3_with_c6(g, c6))
-    chordal, hole = is_chordal(g)
-    if not chordal:
-        raise _contradiction(f"unexpected induced hole {hole}")
-    return Certificate(certificate_root(g), BaseLeaf(CHORDAL_DIAMOND_FREE))
+    cases = [
+        ("K5", _certify_p2p3_with_k5),
+        ("C5", _certify_p2p3_with_c5),
+        ("C4", _certify_p2p3_with_c4),
+        ("C6", _certify_p2p3_with_c6),
+    ]
+    return Certificate(certificate_root(g), _first_case(g, cases))
 
 
-def _certify_p2p3_with_k5(g: Graph) -> Node:
+def _certify_p2p3_with_k5(g: Graph, _: tuple[int, ...]) -> Node:
+    # The K5 the branch builds on is found in the pruned graph it works on.
     steps = _Steps(g)
     steps.prune()
     work = steps.work

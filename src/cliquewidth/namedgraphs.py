@@ -66,10 +66,13 @@ def _check_base(kind: str, params: tuple[int, ...], pos: int) -> None:
 
 _T = TypeVar("_T")
 
+_DIGITS = frozenset("0123456789")
+_MAX_DIGITS = 4300  # int() refuses longer decimal strings by default
+
 
 class Scanner:
     """The scanning that both text grammars share: whitespace, fixed
-    tokens, unsigned integers and the end of the text.
+    tokens, unsigned integers of ASCII digits and the end of the text.
 
     A grammar passes the syntax error class it raises and the noun its
     integers go by in "expected ..." messages; its rules read the text
@@ -98,10 +101,12 @@ class Scanner:
     def integer(self) -> int:
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected {self.noun}", start)
+        if self.pos - start > _MAX_DIGITS:
+            raise self.error(f"expected {self.noun} of at most {_MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def read_all(self, rule: Callable[[Scanner], _T]) -> _T:
@@ -122,7 +127,7 @@ def _expr(s: Scanner) -> NamedGraphSpec:
 
 def _term(s: Scanner) -> tuple[int, BaseGraph | ComplementOf]:
     mult = 1
-    if s.peek().isdigit():
+    if s.peek() in _DIGITS:
         pos = s.pos
         mult = s.integer()
         if mult < 1:
@@ -133,7 +138,7 @@ def _term(s: Scanner) -> tuple[int, BaseGraph | ComplementOf]:
 def _base(s: Scanner) -> BaseGraph | ComplementOf:
     ch = s.peek()
     pos = s.pos
-    if ch in "PCK":
+    if ch in ("P", "C", "K"):
         s.pos += 1
         r = s.integer()
         if ch == "K" and s.peek() == ",":

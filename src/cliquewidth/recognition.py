@@ -101,30 +101,31 @@ def clique_cover_exact(g: Graph) -> list[frozenset[int]]:
     order = sorted(range(n), key=lambda i: (-bin(masks[i]).count("1"), i))
 
     def colourable(k: int) -> list[int] | None:
-        assign = [-1] * n
+        """The colour classes, as bitmasks, of a k-colouring, or None."""
+        classes = [0] * k
 
         def rec(pos: int, used: int) -> bool:
             if pos == n:
                 return True
             v = order[pos]
             for c in range(min(used + 1, k)):
-                if all(assign[w] != c for w in range(n) if masks[v] >> w & 1):
-                    assign[v] = c
+                if not classes[c] & masks[v]:
+                    classes[c] |= 1 << v
                     if rec(pos + 1, max(used, c + 1)):
                         return True
-                    assign[v] = -1
+                    classes[c] ^= 1 << v
             return False
 
-        return assign if rec(0, 0) else None
+        return classes if rec(0, 0) else None
 
     lower = alpha(g)  # a clique of the complement
     for k in range(max(lower, 1), n + 1):
-        assign = colourable(k)
-        if assign is not None:
-            groups: dict[int, set[int]] = {}
-            for i, c in enumerate(assign):
-                groups.setdefault(c, set()).add(verts[i])
-            cover = sorted((frozenset(s) for s in groups.values()), key=min)
+        classes = colourable(k)
+        if classes is not None:
+            cover = sorted(
+                (frozenset(verts[i] for i in range(n) if cls >> i & 1) for cls in classes if cls),
+                key=min,
+            )
             for part in cover:
                 for u in part:
                     for v in part:

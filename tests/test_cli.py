@@ -431,6 +431,20 @@ def test_verify_certificate_deep_expression(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_verify_certificate_deep_bipartite_name(tmp_path, capsys):
+    # A forbidden graph named 3000 complements deep is, like a deep
+    # expression, one failure line at the leaf, not an error.
+    g = realize_text("P2")
+    graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
+    graph_path.write_text("2 1\n0 1\n")
+    leaf = BaseLeaf("bipartite_h_free", h="co(" * 3000 + "P1" + ")" * 3000)
+    cert_path.write_text(certificate_to_json(Certificate(certificate_root(g), leaf)))
+    assert main(["verify-certificate", str(graph_path), str(cert_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "step: forbidden graph is nested too deeply to check\n"
+    assert captured.err == ""
+
+
 def test_verify_certificate_expression_that_does_not_evaluate(tmp_path, capsys):
     # j(1,1,v1) parses but joins a label to itself: the certificate's fault,
     # so a failure line with the leaf's path and exit 1, like text that does
@@ -616,13 +630,33 @@ def _mutate(data, obj, vertices):
 def test_verify_certificate_json_fuzz(tmp_path, data):
     text, vertices, valid = data.draw(st.sampled_from(_valid_certificates()))
     obj = copy.deepcopy(valid)
-    for _ in range(data.draw(st.integers(1, 3))):
+    # The forbidden graph of a bipartite leaf may be renamed first.
+    leaves = [d for d in _dicts(obj) if d.get("base") == "bipartite_h_free"]
+    name = data.draw(st.one_of(st.none(), _BIPARTITE_NAMES)) if leaves else None
+    if name is not None:
+        data.draw(st.sampled_from(leaves))["h"] = name
+    mutations = data.draw(st.integers(0 if name is not None else 1, 3))
+    for _ in range(mutations):
         _mutate(data, obj, vertices)
     graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
     graph_path.write_text(text)
     cert_path.write_text(json.dumps(obj))
     code, out, err = _run_quietly(["verify-certificate", str(graph_path), str(cert_path)])
     _assert_clean_exit(code, out, err)
+    if name is not None and not mutations and _malformed_spec(name):
+        # A name is the certificate's to get right: one that does not parse
+        # fails its leaf, with the leaf's path.
+        assert code == 1 and err == ""
+        bad = ("bad forbidden graph", "forbidden graph is nested too deeply")
+        assert any(line.startswith("step") and any(b in line for b in bad) for line in out.splitlines())
+
+
+def _malformed_spec(text):
+    try:
+        parse_spec(text)
+    except (ValueError, RecursionError):
+        return True
+    return False
 
 
 # Text grammars: runs of their tokens, and printed random trees.
@@ -663,6 +697,11 @@ _SPEC_TEXT = st.one_of(
         st.sampled_from(["P1", "diamond", "2P1+P2"]),
     ),
 )
+# Names for bipartite leaves: the spec texts, and more of the names
+# nested deeper than the parser recurses.
+_BIPARTITE_NAMES = st.one_of(
+    _SPEC_TEXT, st.integers(250, 3000).map(lambda depth: "co(" * depth + "P1" + ")" * depth)
+)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -679,6 +718,60 @@ def test_check_free_spec_fuzz(tmp_path, text):
         assert (code, out, err) == (2, "", f"error: {exc}\n")
     except RecursionError:
         assert code == 2
+
+
+# Tokens of the edge-list reader: small ids, ids past every limit, a
+# 5000-digit integer, and words that are no integer.
+_READER_TOKENS = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.integers(min_value=2**31).map(str),
+    st.just("9" * 5000),
+    st.sampled_from(["x", "\u00b2", "1.5", "-"]),
+)
+_PART_LINES = st.builds(
+    "PART {}{} {}".format,
+    st.sampled_from(["a", "a", "b", "", "a b"]),
+    st.sampled_from([":", ":", ""]),
+    st.lists(_READER_TOKENS, max_size=4).map(" ".join),
+)
+_SMALL_GRAPHS = st.sampled_from(["P1", "P3", "C5", "K4", "2P2+P4", "K1,3+3P1"]).map(realize_text)
+_EDGE_LIST_TEXT = st.one_of(
+    st.lists(
+        st.one_of(st.lists(_READER_TOKENS, max_size=3).map(" ".join), _PART_LINES, st.just("")),
+        max_size=8,
+    ).map("\n".join),
+    st.builds(
+        lambda g, parts: to_edge_list_text(g) + "\n".join(parts),
+        _SMALL_GRAPHS,
+        st.lists(_PART_LINES, max_size=3),
+    ),
+)
+# graph6 text: encodings of small graphs, whole or cut, behind a header
+# or a near miss of one, with stray characters; and arbitrary characters.
+_GRAPH6_CHARS = st.characters(min_codepoint=0, max_codepoint=200, exclude_categories=["Cs"])
+_GRAPH6_TEXT = st.one_of(
+    st.builds(
+        lambda header, text, cut, extra: header + text[:cut] + extra,
+        st.sampled_from(["", ">>graph6<<", ">>graph6<", " "]),
+        st.one_of(st.just(Graph([], [])), _SMALL_GRAPHS).map(to_graph6),
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.text(_GRAPH6_CHARS, max_size=3),
+    ),
+    st.text(_GRAPH6_CHARS, max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.tuples(st.just("edgelist"), _EDGE_LIST_TEXT),
+    st.tuples(st.just("graph6"), _GRAPH6_TEXT),
+))
+def test_check_free_graph_reader_fuzz(tmp_path, fmt_text):
+    fmt, text = fmt_text
+    graph_path = tmp_path / "g.txt"
+    graph_path.write_text(text, encoding="utf-8")
+    code, out, err = _run_quietly(["check-free", str(graph_path), "--spec", "P3", "--format", fmt])
+    _assert_clean_exit(code, out, err)
 
 
 _LABELS = st.integers(1, 3)
