@@ -55,7 +55,6 @@ _EXPORTS = {
         "alpha",
         "bipartite_class_bounded",
         "clique_cover_exact",
-        "find_induced_cycle",
         "generate_free",
         "is_chordal",
     ),

@@ -46,7 +46,7 @@ from .graphs import (
     subgraph_complement,
 )
 from .namedgraphs import realize_text
-from .recognition import clique_cover_exact, find_induced_cycle, is_chordal
+from .recognition import clique_cover_exact, is_chordal
 from .search import Embedding, FreenessWitness, contains_induced, is_free
 
 
@@ -537,9 +537,10 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
     if branch is Branch.K_FREE:
         return Certificate(certificate_root(g), BaseLeaf(K3_K13P2_FREE))
 
-    cyc = find_induced_cycle(g, 5) or find_induced_cycle(g, 7)
+    emb = contains_induced(g, realize_text("C5")) or contains_induced(g, realize_text("C7"))
     steps = _Steps(g)
-    if cyc is not None:
+    if emb is not None:
+        cyc = emb.image()
         _delete_nonconsecutive_common_neighbours(steps, cyc, 9)
         # Survivors see at most two, necessarily consecutive, cycle vertices.
         cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=False)

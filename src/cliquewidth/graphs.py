@@ -353,6 +353,15 @@ def bit_adjacency(g: Graph) -> tuple[list[int], dict[int, int], list[int]]:
 # Serialization: plain edge-list text and graph6.
 # ---------------------------------------------------------------------------
 
+# Integers in all text input are runs of ASCII digits, at most _MAX_DIGITS.
+_DIGITS = frozenset("0123456789")
+_MAX_DIGITS = 4300  # int() refuses longer decimal strings by default
+
+
+def _is_integer(token: str) -> bool:
+    return 0 < len(token) <= _MAX_DIGITS and _DIGITS.issuperset(token)
+
+
 def to_edge_list_text(g: Graph) -> str:
     """Edge-list format: first line ``n m``, then one ``u v`` line per edge.
 
@@ -375,12 +384,9 @@ def parse_edge_list_text(text: str) -> tuple[Graph, dict[str, frozenset[int]]]:
     if not lines:
         raise GraphError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not all(map(_is_integer, head)):
         raise GraphError(f"bad header line {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError(f"bad header line {lines[0]!r}") from None
+    n, m = map(int, head)
     if n > VERTEX_LIMIT:
         raise GraphError(f"edge list declares {n} vertices, above the limit of {VERTEX_LIMIT}")
     body = lines[1:]
@@ -390,7 +396,7 @@ def parse_edge_list_text(text: str) -> tuple[Graph, dict[str, frozenset[int]]]:
     edges = []
     for ln in body[:trailer]:
         ends = ln.split()
-        if len(ends) != 2:
+        if len(ends) != 2 or not all(map(_is_integer, ends)):
             raise GraphError(f"bad edge line {ln!r}")
         edges.append((int(ends[0]), int(ends[1])))
     g = build_graph(n, edges)
@@ -398,11 +404,12 @@ def parse_edge_list_text(text: str) -> tuple[Graph, dict[str, frozenset[int]]]:
     for ln in body[trailer:]:
         label, colon, ids = ln.partition(":")
         name = label[len("PART ") :].strip()
-        if not ln.startswith("PART ") or not colon or not name:
+        tokens = ids.split()
+        if not ln.startswith("PART ") or not colon or not name or not all(map(_is_integer, tokens)):
             raise GraphError(f"bad PART line {ln!r}")
         if name in named:
             raise GraphError(f"part {name} is given twice")
-        members = [int(tok) for tok in ids.split()]
+        members = [int(tok) for tok in tokens]
         for v in members:
             if not 0 <= v < n:
                 raise GraphError(f"part {name} id {v} out of range for n={n}")

@@ -2,6 +2,8 @@
 
 A k-expression builds a labelled graph with four operations: create a
 labelled vertex, disjoint union, join two label classes, rename a label.
+No reader of an expression recurses, so any depth works: ``_walk``'s explicit
+stack serves labels, evaluation and rewriting; printer and parser keep their own.
 The exact solver searches the space of reachable labelled-graph states.
 
 Solver normal form.  Every buildable graph has an optimal construction in
@@ -47,6 +49,7 @@ graphs is never searched whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .graphs import (
     Graph, SizeLimitError, bit_adjacency, components, find_hole, find_induced_p3, is_forest
@@ -110,67 +113,94 @@ class LabelledGraph:
     labels: dict[int, int]
 
 
+def _walk(e: KExpression) -> Iterator[tuple[KExpression, bool]]:
+    """Each node of ``e`` as (node, False) before its children and as
+    (node, True) after them, children left to right, from an explicit stack."""
+    stack = [(e, False)]
+    while stack:
+        node, done = stack.pop()
+        yield node, done
+        if not done:
+            stack.append((node, True))
+            if isinstance(node, Union):
+                stack += ((node.right, False), (node.left, False))
+            elif not isinstance(node, Create):
+                stack.append((node.child, False))
+
+
 def expr_labels(e: KExpression) -> set[int]:
     """All labels appearing anywhere in the expression."""
-    if isinstance(e, Create):
-        return {e.label}
-    if isinstance(e, Union):
-        return expr_labels(e.left) | expr_labels(e.right)
-    return {e.i, e.j} | expr_labels(e.child)
+    labels: set[int] = set()
+    for node, done in _walk(e):
+        if isinstance(node, Create):
+            labels.add(node.label)
+        elif not done and not isinstance(node, Union):
+            labels.update((node.i, node.j))
+    return labels
 
 
 def width(e: KExpression) -> int:
     return len(expr_labels(e))
 
 
+def _rebuild(e: KExpression, mapping: dict[int, int], leaf: Callable) -> KExpression:
+    """``e`` with every label rewritten through ``mapping`` (identity when
+    absent) and then each Create leaf c, left to right, replaced by leaf(c)."""
+    built: list[KExpression] = []
+    for node in (node for node, done in _walk(e) if done):
+        if isinstance(node, Union):
+            built[-2:] = [Union(*built[-2:])]
+        elif isinstance(node, Create):
+            built.append(leaf(Create(mapping.get(node.label, node.label))))
+        else:
+            i, j = mapping.get(node.i, node.i), mapping.get(node.j, node.j)
+            built.append(type(node)(i, j, built.pop()))
+    return built[0]
+
+
 def substitute_labels(e: KExpression, mapping: dict[int, int]) -> KExpression:
     """Rewrite every label through ``mapping`` (identity when absent)."""
-
-    def f(label: int) -> int:
-        return mapping.get(label, label)
-
-    if isinstance(e, Create):
-        return Create(f(e.label))
-    if isinstance(e, Union):
-        return Union(substitute_labels(e.left, mapping), substitute_labels(e.right, mapping))
-    if isinstance(e, Join):
-        return Join(f(e.i), f(e.j), substitute_labels(e.child, mapping))
-    return Rename(f(e.i), f(e.j), substitute_labels(e.child, mapping))
+    return _rebuild(e, mapping, lambda c: c)
 
 
 def eval_expression(e: KExpression) -> LabelledGraph:
-    """Evaluate to a labelled graph; vertex ids follow creation order."""
-    counter = [0]
-
-    def rec(node: KExpression) -> tuple[list[int], list[tuple[int, int]], dict[int, int]]:
-        if isinstance(node, Create):
-            if node.label < 1:
+    """Evaluate to a labelled graph; vertex ids follow creation order.  An
+    operand keeps its vertices by label, so a union merges the smaller operand
+    into the larger, a join adds the pairs it connects and a rename moves one
+    list; the first invalid node in preorder raises."""
+    adj: list[set[int]] = []
+    operands: list[dict[int, list[int]]] = []
+    for node, done in _walk(e):
+        if not done:
+            if isinstance(node, Create) and node.label < 1:
                 raise KExprEvalError(f"labels must be positive, got {node.label}")
-            v = counter[0]
-            counter[0] += 1
-            return [v], [], {v: node.label}
-        if isinstance(node, Union):
-            lv, le, ll = rec(node.left)
-            rv, re_, rl = rec(node.right)
-            return lv + rv, le + re_, {**ll, **rl}
-        if isinstance(node, Join):
-            if node.i == node.j:
+            if isinstance(node, Join) and node.i == node.j:
                 raise KExprEvalError(f"join requires two distinct labels, got ({node.i},{node.j})")
-            vs, es, ls = rec(node.child)
-            have = {(min(u, v), max(u, v)) for u, v in es}
-            for u in vs:
-                if ls[u] != node.i:
-                    continue
-                for v in vs:
-                    if ls[v] == node.j and (min(u, v), max(u, v)) not in have:
-                        es.append((u, v))
-                        have.add((min(u, v), max(u, v)))
-            return vs, es, ls
-        vs, es, ls = rec(node.child)
-        return vs, es, {v: (node.j if lab == node.i else lab) for v, lab in ls.items()}
+        elif isinstance(node, Create):
+            operands.append({node.label: [len(adj)]})
+            adj.append(set())
+        elif isinstance(node, Union):
+            small, large = sorted((operands.pop(), operands.pop()), key=len)
+            for label, vs in small.items():
+                _merge(large, label, vs)
+            operands.append(large)
+        elif isinstance(node, Join):
+            ci, cj = operands[-1].get(node.i, ()), operands[-1].get(node.j, ())
+            for side, other in ((ci, cj), (cj, ci)):
+                for u in side:
+                    adj[u].update(other)
+        elif node.i in operands[-1]:
+            _merge(operands[-1], node.j, operands[-1].pop(node.i))
+    labels = {v: label for label, vs in operands[0].items() for v in vs}
+    edges = ((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    return LabelledGraph(Graph(range(len(adj)), edges), dict(sorted(labels.items())))
 
-    vs, es, ls = rec(e)
-    return LabelledGraph(Graph(vs, es), ls)
+
+def _merge(by_label: dict[int, list[int]], label: int, vs: list[int]) -> None:
+    """Add ``vs`` to the class ``label``, extending the longer list by the shorter."""
+    shorter, longer = sorted((by_label.get(label, []), vs), key=len)
+    longer.extend(shorter)
+    by_label[label] = longer
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +208,20 @@ def eval_expression(e: KExpression) -> LabelledGraph:
 # ---------------------------------------------------------------------------
 
 def print_expression(e: KExpression) -> str:
-    if isinstance(e, Create):
-        return f"v{e.label}"
-    if isinstance(e, Union):
-        return f"({print_expression(e.left)} | {print_expression(e.right)})"
-    if isinstance(e, Join):
-        return f"j({e.i},{e.j},{print_expression(e.child)})"
-    return f"r({e.i}->{e.j},{print_expression(e.child)})"
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Create):
+            out.append(f"v{node.label}")
+        elif isinstance(node, Union):
+            stack += (")", node.right, " | ", node.left, "(")
+        elif isinstance(node, Join):
+            stack += (")", node.child, f"j({node.i},{node.j},")
+        else:
+            stack += (")", node.child, f"r({node.i}->{node.j},")
+    return "".join(out)
 
 
 def _label(s: Scanner) -> int:
@@ -197,29 +234,34 @@ def _label(s: Scanner) -> int:
 
 
 def _expr(s: Scanner) -> KExpression:
-    ch = s.peek()
-    if ch == "v":
+    # The nodes open above the one being read: None for a union before its
+    # "|", then its left operand; (Join or Rename, i, j) for the others.
+    above: list = []
+    while True:
+        ch = s.peek()
+        if ch not in ("v", "(", "j", "r"):
+            raise KExprSyntaxError("expected an expression", s.pos)
         s.pos += 1
-        return Create(_label(s))
-    if ch == "(":
-        s.pos += 1
-        left = _expr(s)
-        s.expect("|")
-        right = _expr(s)
-        s.expect(")")
-        return Union(left, right)
-    if ch in ("j", "r"):
-        # j(i,j,e) and r(i->j,e) differ only in the separator and the node.
-        s.pos += 1
-        s.expect("(")
-        i = _label(s)
-        s.expect("," if ch == "j" else "->")
-        j = _label(s)
-        s.expect(",")
-        child = _expr(s)
-        s.expect(")")
-        return (Join if ch == "j" else Rename)(i, j, child)
-    raise KExprSyntaxError("expected an expression", s.pos)
+        if ch == "(":
+            above.append(None)
+        elif ch != "v":
+            # j(i,j,e) and r(i->j,e) differ only in the separator and the node.
+            s.expect("(")
+            i = _label(s)
+            s.expect("," if ch == "j" else "->")
+            j = _label(s)
+            s.expect(",")
+            above.append((Join if ch == "j" else Rename, i, j))
+        else:
+            node: KExpression = Create(_label(s))
+            while above and above[-1] is not None:
+                s.expect(")")
+                top = above.pop()
+                node = top[0](top[1], top[2], node) if isinstance(top, tuple) else Union(top, node)
+            if not above:
+                return node
+            s.expect("|")
+            above[-1] = node
 
 
 def parse_expression(text: str) -> KExpression:
@@ -537,37 +579,15 @@ def _induced_masks(masks: list[int], verts: list[int]) -> list[int]:
     return out
 
 
-def _root_labels(e: KExpression) -> set[int]:
-    """Labels carried by some vertex at the root of the expression."""
-    if isinstance(e, Create):
-        return {e.label}
-    if isinstance(e, Union):
-        return _root_labels(e.left) | _root_labels(e.right)
-    below = _root_labels(e.child)
-    if isinstance(e, Rename) and e.i in below:
-        return (below - {e.i}) | {e.j}
-    return below
-
-
 def _substitute_leaf(e: KExpression, pos: int, piece: KExpression) -> KExpression:
     """Replace the pos-th Create leaf of ``e`` (left to right) by ``piece``
     with every root label of ``piece`` renamed onto that leaf's label."""
-    seen = [0]
-
-    def rec(node: KExpression) -> KExpression:
-        if isinstance(node, Create):
-            seen[0] += 1
-            if seen[0] != pos + 1:
-                return node
-            out = piece
-            for label in sorted(_root_labels(piece) - {node.label}):
-                out = Rename(label, node.label, out)
-            return out
-        if isinstance(node, Union):
-            return Union(rec(node.left), rec(node.right))
-        return type(node)(node.i, node.j, rec(node.child))
-
-    return rec(e)
+    leaves = [node for node, done in _walk(e) if done and isinstance(node, Create)]
+    out = piece
+    for label in sorted(set(eval_expression(piece).labels.values()) - {leaves[pos].label}):
+        out = Rename(label, leaves[pos].label, out)
+    index = iter(range(len(leaves)))
+    return _rebuild(e, {}, lambda c: out if next(index) == pos else c)
 
 
 def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list[int]] | None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, TypeVar
 
-from .graphs import Graph, build_graph, complement
+from .graphs import _DIGITS, _MAX_DIGITS, Graph, build_graph, complement
 
 
 class SpecSyntaxError(ValueError):
@@ -65,9 +65,6 @@ def _check_base(kind: str, params: tuple[int, ...], pos: int) -> None:
 
 
 _T = TypeVar("_T")
-
-_DIGITS = frozenset("0123456789")
-_MAX_DIGITS = 4300  # int() refuses longer decimal strings by default
 
 
 class Scanner:

@@ -2,9 +2,8 @@
 
 Everything here is exact and deterministic: the independence number by
 branch and bound, minimum clique covers by exact colouring of the
-complement (both up to 24 vertices), chordality by simplicial elimination
-with a hole from ``graphs.find_hole`` when it fails, and induced cycles of a
-given length, which ``search.contains_induced`` finds.
+complement (both up to 24 vertices), and chordality by simplicial
+elimination with a hole from ``graphs.find_hole`` when it fails.
 """
 from __future__ import annotations
 
@@ -166,15 +165,6 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
             raise AssertionError("a graph left after simplicial elimination has no hole")
         return False, hole
     return True, None
-
-
-def find_induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
-    """The image of ``contains_induced``'s least copy of C_length: the least
-    induced cycle of exactly the given length, or None."""
-    if length < 3 or g.n < length:
-        return None
-    emb = contains_induced(g, realize_text(f"C{length}"))
-    return None if emb is None else emb.image()
 
 
 # Containers whose H-free bipartite graphs form bounded-clique-width classes,

@@ -418,22 +418,27 @@ def _write_explicit_certificate(tmp_path, g, expression):
 
 
 def test_verify_certificate_deep_expression(tmp_path, capsys):
-    # A correct explicit leaf for 1100 isolated vertices, nested deeper than
-    # the parser can recurse: one failure line, no traceback.
-    g = Graph(range(1100), [])
+    # An explicit leaf for 1100 isolated vertices nested 1100 unions deep
+    # is read and checked like a shallow one: it verifies, and on the same
+    # graph plus an edge it is one failure line, with no traceback.
     expression = "v1"
-    for _ in range(g.n - 1):
+    for _ in range(1099):
         expression = f"(v1 | {expression})"
-    paths = _write_explicit_certificate(tmp_path, g, expression)
+    paths = _write_explicit_certificate(tmp_path, Graph(range(1100), []), expression)
+    assert main(["verify-certificate", *paths]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "certificate valid (1 leaves)\n"
+    assert captured.err == ""
+    paths = _write_explicit_certificate(tmp_path, Graph(range(1100), [(0, 1)]), expression)
     assert main(["verify-certificate", *paths]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "step: expression is nested too deeply to check\n"
+    assert captured.out == "step: expression does not evaluate to the leaf graph\n"
     assert captured.err == ""
 
 
 def test_verify_certificate_deep_bipartite_name(tmp_path, capsys):
-    # A forbidden graph named 3000 complements deep is, like a deep
-    # expression, one failure line at the leaf, not an error.
+    # A forbidden graph named 3000 complements deep is one failure line at
+    # the leaf, not an error.
     g = realize_text("P2")
     graph_path, cert_path = tmp_path / "g.el", tmp_path / "c.json"
     graph_path.write_text("2 1\n0 1\n")

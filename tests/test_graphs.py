@@ -372,6 +372,20 @@ def test_edge_list_part_trailer():
     ):
         with pytest.raises(GraphError):
             parse_edge_list_text(bad)
+    # Ids are runs of ASCII digits, the integers of the text grammars.
+    for bad, line in (
+        ("1_0 0\n", "header"),
+        ("\uff13 1\n0 1\n", "header"),  # fullwidth 3
+        ("3 -1\n", "header"),
+        ("3 1\n0 \u0662\n", "edge"),  # Arabic-Indic 2
+        ("3 1\n0 +1\n", "edge"),
+        ("3 1\n0 -1\n", "edge"),
+        ("3 1\n0 " + "1" * 4301 + "\n", "edge"),
+        ("3 1\n0 1\nPART a: 0 \uff10\n", "PART"),  # fullwidth 0
+        ("3 1\n0 1\nPART a: -1\n", "PART"),
+    ):
+        with pytest.raises(GraphError, match=f"^bad {line} line "):
+            parse_edge_list_text(bad)
 
 
 @settings(max_examples=80, deadline=None)

@@ -32,7 +32,7 @@ EXPORTS = [
     "realize_text", "Embedding", "FreenessWitness", "are_isomorphic",
     "contains_induced", "fingerprint", "is_free",
     "GenerationBudgetError", "SizeLimitError", "alpha", "bipartite_class_bounded",
-    "clique_cover_exact", "find_induced_cycle", "generate_free", "is_chordal",
+    "clique_cover_exact", "generate_free", "is_chordal",
     "Create",
     "ExpressionPreconditionError", "Join", "KExpression", "KExprEvalError",
     "KExprSyntaxError", "LabelledGraph", "Rename", "Union", "clique_width_exact",

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from cliquewidth import (
     Graph,
     Join,
     KExprEvalError,
+    KExpression,
     KExprSyntaxError,
     Rename,
     SizeLimitError,
@@ -28,13 +30,16 @@ from cliquewidth import (
     parse_expression,
     print_expression,
     realize_text,
+    substitute_labels,
     to_edge_list_text,
     verify_expression,
     width,
 )
 from cliquewidth.cli import main
 from cliquewidth.graphs import bit_adjacency
+from cliquewidth.kexpr import expr_labels
 from brute import brute_has_module, brute_twin_classes, random_graph
+import oracles
 from oracles import naive_clique_width
 
 
@@ -60,6 +65,10 @@ def test_eval_rejects_equal_join_labels():
     e = parse_expression("j(1,1,v1)")  # parses fine, fails at evaluation
     with pytest.raises(KExprEvalError):
         eval_expression(e)
+    # The first invalid node in preorder is the one reported.
+    for text, labels in (("j(1,1,j(2,2,v1))", "(1,1)"), ("(j(2,2,v1) | j(1,1,v1))", "(2,2)")):
+        with pytest.raises(KExprEvalError, match=re.escape(f"got {labels}") + "$"):
+            eval_expression(parse_expression(text))
 
 
 def test_parse_print_round_trip():
@@ -81,6 +90,50 @@ def test_parse_errors(bad):
     with pytest.raises(KExprSyntaxError) as err:
         parse_expression(bad)
     assert err.value.position >= 0
+
+
+def linear_path(n: int) -> KExpression:
+    """P_n: 1 = retired, 2 = the end, 3 = the incoming vertex."""
+    e: KExpression = Create(2)
+    for _ in range(n - 1):
+        e = Rename(3, 2, Rename(2, 1, Join(2, 3, Union(e, Create(3)))))
+    return e
+
+
+def linear_star(n: int) -> KExpression:
+    """K1,n: 1 = the centre, 2 = the incoming leaf, 3 = retired leaves."""
+    e: KExpression = Create(1)
+    for _ in range(n):
+        e = Rename(2, 3, Join(1, 2, Union(e, Create(2))))
+    return e
+
+
+def linear_clique(n: int) -> KExpression:
+    """K_n: 1 = placed vertices, 2 = the incoming vertex."""
+    e: KExpression = Create(1)
+    for _ in range(n - 1):
+        e = Rename(2, 1, Join(1, 2, Union(e, Create(2))))
+    return e
+
+
+@pytest.mark.parametrize(
+    "build, n, k, edges",
+    [
+        (linear_path, 10**4, 3, lambda n: {(v, v + 1) for v in range(n - 1)}),
+        (linear_star, 10**4, 3, lambda n: {(0, v) for v in range(1, n + 1)}),
+        (linear_clique, 1000, 2, lambda n: {(u, v) for v in range(n) for u in range(v)}),
+    ],
+    ids=["P_n", "K1,n", "K_n"],
+)
+def test_linear_expressions_at_any_depth(build, n, k, edges):
+    # About four nodes per vertex: far deeper than recursion could go.
+    e = build(n)
+    assert set(eval_expression(e).graph.edges()) == edges(n)
+    assert width(e) == k
+    text = print_expression(e)
+    assert print_expression(parse_expression(text)) == text
+    swapped = print_expression(substitute_labels(e, {1: 2, 2: 1}))
+    assert swapped == text.translate(str.maketrans("12", "21"))
 
 
 def test_verify_expression_examples():
@@ -532,3 +585,47 @@ def test_solver_witnesses_match_golden_digest():
     assert any(line.endswith("None") for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SOLVER_GOLDEN_DIGEST
+
+
+def random_expression(rng: random.Random) -> KExpression:
+    """A valid expression on labels 1..4: random pairs of a pool of leaves
+    are united, and each union or last leaf gets up to three joins and
+    renames on top."""
+    pool: list[KExpression] = [Create(rng.randint(1, 4)) for _ in range(rng.randint(2, 12))]
+    while True:
+        e = pool.pop(rng.randrange(len(pool)))
+        if pool:
+            e = Union(e, pool.pop(rng.randrange(len(pool))))
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.7:
+                e = Join(*rng.sample(range(1, 5), 2), e)
+            else:
+                e = Rename(rng.randint(1, 4), rng.randint(1, 4), e)
+        if not pool:
+            return e
+        pool.append(e)
+
+
+# SHA-256 of eval_expression (vertex count, sorted edges, labels),
+# print_expression, width and substitute_labels over 1000 random_expression
+# draws, recorded before the walkers lost their recursion.
+WALKER_GOLDEN_DIGEST = "782a9899ba82f33e12122b986a1173bc77abc616e488ee0803fa4467248b70b1"
+
+
+def test_walkers_match_golden_digest():
+    rng = random.Random(2001)
+    lines = []
+    for _ in range(1000):
+        e = random_expression(rng)
+        text = print_expression(e)
+        lg = eval_expression(e)
+        edges = sorted(lg.graph.edges())
+        count, oracle_edges, oracle_labels = oracles.eval_kexpr(oracles.parse_kexpr(text))
+        assert (count, set(edges), oracle_labels) == (lg.graph.n, oracle_edges, expr_labels(e))
+        mapping = {label: rng.randint(1, 4) for label in rng.sample(range(1, 5), 3)}
+        lines.append(
+            f"{lg.graph.n} {edges} {sorted(lg.labels.items())} {text} {width(e)} "
+            f"{print_expression(substitute_labels(e, mapping))}"
+        )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WALKER_GOLDEN_DIGEST

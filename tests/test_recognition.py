@@ -11,7 +11,6 @@ from cliquewidth import (
     complement,
     contains_induced,
     delete_vertices,
-    find_induced_cycle,
     generate_free,
     is_chordal,
     is_free,
@@ -102,12 +101,18 @@ def test_is_chordal_matches_resorting_elimination(rng):
         assert is_chordal(g) == resorting_is_chordal(g)
 
 
+def induced_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
+    """The image of ``contains_induced``'s least copy of C_length, or None."""
+    emb = contains_induced(g, realize_text(f"C{length}"))
+    return None if emb is None else emb.image()
+
+
 def test_find_induced_cycle(rng):
     g = realize_text("C6")
-    assert find_induced_cycle(g, 6) == (0, 1, 2, 3, 4, 5)
-    assert find_induced_cycle(g, 4) is None
-    assert find_induced_cycle(g, 5) is None
-    assert find_induced_cycle(g, 2) is None and find_induced_cycle(g, 7) is None
+    assert induced_cycle(g, 6) == (0, 1, 2, 3, 4, 5)
+    assert induced_cycle(g, 4) is None
+    assert induced_cycle(g, 5) is None
+    assert induced_cycle(g, 7) is None
     # Random hosts, hosts with a planted C5, C6 or C7, and hosts whose ids
     # are not 0..n-1, since the cycle is read back from host indices.
     hosts = [random_graph(rng, rng.randint(4, 7), 0.4) for _ in range(25)]
@@ -126,7 +131,7 @@ def test_find_induced_cycle(rng):
         for length in range(3, 8):
             least = brute_least_induced(g, realize_text(f"C{length}"))
             expected = None if least is None else tuple(least[i] for i in range(length))
-            assert find_induced_cycle(g, length) == expected
+            assert induced_cycle(g, length) == expected
 
 
 def test_bipartite_class_bounded_examples():

@@ -23,7 +23,6 @@ from cliquewidth import (
 )
 from cliquewidth import search
 from cliquewidth.constructions import complemented_wall, gi_reduce
-from cliquewidth.recognition import find_induced_cycle
 from brute import (
     brute_contains_induced,
     brute_is_induced_embedding,
@@ -114,7 +113,8 @@ def test_host_tables_are_built_once_per_graph(monkeypatch):
     # A fresh C7: free of all four named graphs, then searched for C4-C7.
     c7 = Graph(range(7), [(i, (i + 1) % 7) for i in range(7)])
     assert is_free(c7, ["diamond", "3P1+P2", "K3", "K1,3"]) == (True, None)
-    assert [find_induced_cycle(c7, length) for length in (4, 5, 6, 7)] == [None, None, None, c7.vertices]
+    cycles = [contains_induced(c7, realize_text(f"C{length}")) for length in (4, 5, 6, 7)]
+    assert cycles[:3] == [None, None, None] and cycles[3].image() == c7.vertices
     assert builds == [c7]
     # A derived graph is a new object, searched on tables of its own.
     p6 = delete_vertices(c7, [0])
