@@ -277,72 +277,60 @@ def certificate_from_json(text: str) -> Certificate:
 
 @dataclass
 class VerificationResult:
-    ok: bool
     failures: list[str]
     leaves: list[tuple[BaseLeaf, Graph]]
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
-def _check_leaf(g: Graph, leaf: BaseLeaf, path: str, failures: list[str]) -> None:
+
+def _leaf_failure(g: Graph, leaf: BaseLeaf) -> str | None:
+    """Why ``g`` is outside the base class of ``leaf``, or None."""
     if leaf.kind == DISJOINT_CLIQUES:
         p3 = find_induced_p3(g)
-        if p3 is not None:
-            failures.append(f"{path}: component is not a clique near {p3[1]}")
-    elif leaf.kind == MAX_DEGREE_2:
-        if g.max_degree() > 2:
-            failures.append(f"{path}: maximum degree {g.max_degree()} exceeds 2")
-    elif leaf.kind == FOREST:
-        if not is_forest(g):
-            failures.append(f"{path}: leaf graph has a cycle")
-    elif leaf.kind == BIPARTITE_H_FREE:
+        return None if p3 is None else f"component is not a clique near {p3[1]}"
+    if leaf.kind == MAX_DEGREE_2:
+        return f"maximum degree {g.max_degree()} exceeds 2" if g.max_degree() > 2 else None
+    if leaf.kind == FOREST:
+        return None if is_forest(g) else "leaf graph has a cycle"
+    if leaf.kind == BIPARTITE_H_FREE:
         if leaf.h is None:
-            failures.append(f"{path}: bipartite leaf missing its forbidden graph")
-            return
-        ok, _ = is_bipartite(g)
-        if not ok:
-            failures.append(f"{path}: leaf graph is not bipartite")
-            return
+            return "bipartite leaf missing its forbidden graph"
+        if not is_bipartite(g)[0]:
+            return "leaf graph is not bipartite"
         try:
             bounded = bipartite_class_bounded(leaf.h)
         except ValueError as exc:
             # A name that does not parse (SpecSyntaxError).
-            failures.append(f"{path}: bad forbidden graph {leaf.h!r}: {exc}")
-            return
+            return f"bad forbidden graph {leaf.h!r}: {exc}"
         except RecursionError:
-            failures.append(f"{path}: forbidden graph is nested too deeply to check")
-            return
+            return "forbidden graph is nested too deeply to check"
         if not bounded:
-            failures.append(f"{path}: {leaf.h}-free bipartite graphs are not a bounded class")
-            return
+            return f"{leaf.h}-free bipartite graphs are not a bounded class"
         free, witness = is_free(g, [leaf.h])
-        if not free:
-            failures.append(f"{path}: leaf graph contains an induced {witness.spec_text}")
-    elif leaf.kind == CHORDAL_DIAMOND_FREE:
-        chordal, _ = is_chordal(g)
-        if not chordal:
-            failures.append(f"{path}: leaf graph is not chordal")
-            return
-        free, _ = is_free(g, ["diamond"])
-        if not free:
-            failures.append(f"{path}: leaf graph contains a diamond")
-    elif leaf.kind == K3_K13P2_FREE:
+        return None if free else f"leaf graph contains an induced {witness.spec_text}"
+    if leaf.kind == CHORDAL_DIAMOND_FREE:
+        if not is_chordal(g)[0]:
+            return "leaf graph is not chordal"
+        return None if is_free(g, ["diamond"])[0] else "leaf graph contains a diamond"
+    if leaf.kind == K3_K13P2_FREE:
         free, witness = is_free(g, ["K3", "3P1+P2"])
-        if not free:
-            failures.append(f"{path}: leaf graph contains an induced {witness.spec_text}")
-    elif leaf.kind == EXPLICIT_EXPRESSION:
+        return None if free else f"leaf graph contains an induced {witness.spec_text}"
+    if leaf.kind == EXPLICIT_EXPRESSION:
         from .kexpr import parse_expression, verify_expression
 
         if leaf.expression is None:
-            failures.append(f"{path}: explicit leaf missing its expression")
-            return
+            return "explicit leaf missing its expression"
         try:
-            if not verify_expression(parse_expression(leaf.expression), g):
-                failures.append(f"{path}: expression does not evaluate to the leaf graph")
+            if verify_expression(parse_expression(leaf.expression), g):
+                return None
         except ValueError as exc:
             # Text that does not parse (KExprSyntaxError), or an expression
             # that does not evaluate, such as j(1,1,v1) (KExprEvalError).
-            failures.append(f"{path}: bad expression: {exc}")
-    else:
-        failures.append(f"{path}: unknown leaf kind {leaf.kind!r}")
+            return f"bad expression: {exc}"
+        return "expression does not evaluate to the leaf graph"
+    return f"unknown leaf kind {leaf.kind!r}"
 
 
 def _is_induced_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
@@ -353,13 +341,37 @@ def _is_induced_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
     return len(components(induced_subgraph(g, inside))) == 1
 
 
-def _check_delete_rule(g: Graph, step: DeleteVerticesStep) -> str | None:
-    """Why ``step`` breaks its justification's rule in ``g``, or None.
+def _step_failure(g: Graph, step: Node) -> str | None:
+    """Why ``step``, not a leaf, cannot be applied to ``g``, or None.
 
-    The bound of ``cycle-vertices`` and of each constant rule is recomputed
-    here and caps the stated bound.  The other rules take their facts from
-    earlier or later steps, so only the stated bound caps them.
+    The bound of ``cycle-vertices`` and of each constant deletion rule is
+    recomputed here and caps the stated bound.  The other rules take their
+    facts from earlier or later steps, so only the stated bound caps them.
     """
+    if isinstance(step, SplitComponentsStep):
+        if sorted(v for part in step.parts for v in part) != list(g.vertices):
+            return "parts do not partition the current vertex set"
+        if len(step.parts) != len(step.children):
+            return f"{len(step.parts)} parts but {len(step.children)} children"
+        part_of = {v: i for i, part in enumerate(step.parts) for v in part}
+        for u, v in g.edges():
+            if part_of[u] != part_of[v]:
+                return f"edge ({u},{v}) crosses the component split"
+        return None
+    if isinstance(step, BipartiteComplementStep):
+        named = (*step.x, *step.y)
+    else:
+        named = getattr(step, "vertices", ())
+    missing = [v for v in named if not g.has_vertex(v)]
+    if missing:
+        verb = "deleted" if isinstance(step, DeleteVerticesStep) else "complemented"
+        return f"{verb} vertices {missing} do not exist"
+    if isinstance(step, BipartiteComplementStep) and set(step.x) & set(step.y):
+        return "bipartite complement sets overlap"
+    if not isinstance(step, DeleteVerticesStep):
+        return None
+    if len(step.vertices) > step.stated_bound:
+        return f"deletes {len(step.vertices)} vertices, stated bound {step.stated_bound}"
     rule = DELETE_RULES.get(step.justification)
     if rule is None:
         return f"unknown justification {step.justification!r}"
@@ -375,76 +387,41 @@ def _check_delete_rule(g: Graph, step: DeleteVerticesStep) -> str | None:
     return None
 
 
-def _replay(
-    g: Graph, node: Node, path: str, failures: list[str], leaves: list[tuple[BaseLeaf, Graph]]
-) -> None:
-    if isinstance(node, BaseLeaf):
-        _check_leaf(g, node, path, failures)
-        leaves.append((node, g))
-        return
-    if isinstance(node, SplitComponentsStep):
-        fuse = [v for part in node.parts for v in part]
-        if sorted(fuse) != list(g.vertices):
-            failures.append(f"{path}: parts do not partition the current vertex set")
-            return
-        if len(node.parts) != len(node.children):
-            failures.append(f"{path}: {len(node.parts)} parts but {len(node.children)} children")
-            return
-        part_of: dict[int, int] = {}
-        for i, part in enumerate(node.parts):
-            for v in part:
-                part_of[v] = i
-        for u, v in g.edges():
-            if part_of[u] != part_of[v]:
-                failures.append(f"{path}: edge ({u},{v}) crosses the component split")
-                return
-        for i, (part, child) in enumerate(zip(node.parts, node.children)):
-            _replay(induced_subgraph(g, part), child, f"{path}.children[{i}]", failures, leaves)
-        return
-    if isinstance(node, DeleteVerticesStep):
-        missing = [v for v in node.vertices if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: deleted vertices {missing} do not exist")
-            return
-        if len(node.vertices) > node.stated_bound:
-            failures.append(
-                f"{path}: deletes {len(node.vertices)} vertices, stated bound {node.stated_bound}"
-            )
-            return
-        failure = _check_delete_rule(g, node)
-        if failure:
-            failures.append(f"{path}: {failure}")
-            return
-        g = delete_vertices(g, node.vertices)
-    elif isinstance(node, SubgraphComplementStep):
-        missing = [v for v in node.vertices if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: complemented vertices {missing} do not exist")
-            return
-        g = subgraph_complement(g, node.vertices)
-    elif isinstance(node, BipartiteComplementStep):
-        missing = [v for v in (*node.x, *node.y) if not g.has_vertex(v)]
-        if missing:
-            failures.append(f"{path}: complemented vertices {missing} do not exist")
-            return
-        if set(node.x) & set(node.y):
-            failures.append(f"{path}: bipartite complement sets overlap")
-            return
-        g = bipartite_complement(g, node.x, node.y)
-    else:
-        g = prune_degree_one(g)
-    _replay(g, node.child, path + ".child", failures, leaves)
+# The graph after each step kind with one child.
+_APPLY = {
+    DeleteVerticesStep: lambda g, step: delete_vertices(g, step.vertices),
+    SubgraphComplementStep: lambda g, step: subgraph_complement(g, step.vertices),
+    BipartiteComplementStep: lambda g, step: bipartite_complement(g, step.x, step.y),
+    PruneDegreeOneStep: lambda g, step: prune_degree_one(g),
+}
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationResult:
-    """Replay all steps from the root graph and re-check every leaf."""
-    failures: list[str] = []
-    leaves: list[tuple[BaseLeaf, Graph]] = []
+    """Replay all steps from the root graph and re-check every leaf.
+
+    Nodes are visited in preorder, split children left to right.  A node
+    that fails adds one line, its path and reason, and nothing below it is
+    replayed; every leaf reached is listed, failing or not.
+    """
+    result = VerificationResult([], [])
     root = certificate_root(g)
     if root != cert.root:
-        failures.append(
-            f"root fingerprint mismatch: graph {root}, certificate {cert.root}"
-        )
-        return VerificationResult(False, failures, leaves)
-    _replay(g, cert.step, "step", failures, leaves)
-    return VerificationResult(not failures, failures, leaves)
+        result.failures.append(f"root fingerprint mismatch: graph {root}, certificate {cert.root}")
+        return result
+    stack = [(g, cert.step, "step")]
+    while stack:
+        g, node, path = stack.pop()
+        if isinstance(node, BaseLeaf):
+            result.leaves.append((node, g))
+            reason = _leaf_failure(g, node)
+        else:
+            reason = _step_failure(g, node)
+        if reason is not None:
+            result.failures.append(f"{path}: {reason}")
+        elif isinstance(node, SplitComponentsStep):
+            for i in reversed(range(len(node.parts))):
+                part = induced_subgraph(g, node.parts[i])
+                stack.append((part, node.children[i], f"{path}.children[{i}]"))
+        elif not isinstance(node, BaseLeaf):
+            stack.append((_APPLY[type(node)](g, node), node.child, f"{path}.child"))
+    return result

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
+from functools import partial
 from itertools import combinations, permutations
 
 # certificate_from_json, certificate_to_json and verify_certificate are
@@ -465,6 +466,19 @@ def _consecutive_cover(
     return [frozenset(p) for p in parts if p]
 
 
+def _certify_around_long_cycle(
+    g: Graph, cyc: tuple[int, ...], per_pair: int, isolated_joins_first: bool
+) -> Node:
+    """Delete the common neighbours of the non-consecutive pairs of ``cyc``
+    (at most ``per_pair`` each), then ``cyc``, and close by the cover of the
+    survivors, which see at most two consecutive cycle vertices."""
+    steps = _Steps(g)
+    _delete_nonconsecutive_common_neighbours(steps, cyc, per_pair)
+    cover = _consecutive_cover(steps.work, cyc, isolated_joins_first)
+    steps.delete(cyc, "cycle-vertices", length=len(cyc))
+    return _close_by_cover(steps, cover)
+
+
 def _delete_consecutive_common_neighbours(steps: _Steps, cyc: tuple[int, ...]) -> None:
     """Per consecutive cycle pair, delete their common neighbourhood (a
     clique of at most four vertices when K5-free)."""
@@ -538,19 +552,13 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
         return Certificate(certificate_root(g), BaseLeaf(K3_K13P2_FREE))
 
     emb = contains_induced(g, realize_text("C5")) or contains_induced(g, realize_text("C7"))
-    steps = _Steps(g)
     if emb is not None:
-        cyc = emb.image()
-        _delete_nonconsecutive_common_neighbours(steps, cyc, 9)
-        # Survivors see at most two, necessarily consecutive, cycle vertices.
-        cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=False)
-        steps.delete(cyc, "cycle-vertices", length=len(cyc))
-    else:
-        cover = clique_cover_exact(g)
-        if len(cover) > 9:
-            raise _contradiction("a perfect member needs over 9 cover cliques")
-
-    return Certificate(certificate_root(g), _close_by_cover(steps, cover))
+        node = _certify_around_long_cycle(g, emb.image(), 9, isolated_joins_first=False)
+        return Certificate(certificate_root(g), node)
+    cover = clique_cover_exact(g)
+    if len(cover) > 9:
+        raise _contradiction("a perfect member needs over 9 cover cliques")
+    return Certificate(certificate_root(g), _close_by_cover(_Steps(g), cover))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +568,9 @@ def certify_diamond_3p1p2(g: Graph) -> Certificate:
 def certify_diamond_2p1p3(g: Graph) -> Certificate:
     _require_free(g, ["diamond", "2P1+P3"])
     cases = [("C4", _certify_2p1p3_around_c4)]
-    cases += [(f"C{length}", _certify_2p1p3_around_long_cycle) for length in (5, 6, 7)]
+    # Around a longer cycle the vertices that see none of it join cyc[0]'s clique.
+    around = partial(_certify_around_long_cycle, per_pair=1, isolated_joins_first=True)
+    cases += [(f"C{length}", around) for length in (5, 6, 7)]
     return Certificate(certificate_root(g), _first_case(g, cases))
 
 
@@ -605,16 +615,6 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
         )
     if bip_part:
         return steps.close(BaseLeaf(BIPARTITE_H_FREE, h="2P1+P3"))
-    return _close_by_cover(steps, cover)
-
-
-def _certify_2p1p3_around_long_cycle(g: Graph, cyc: tuple[int, ...]) -> Node:
-    steps = _Steps(g)
-    _delete_nonconsecutive_common_neighbours(steps, cyc, 1)
-    # The vertices that see no cycle vertex and those that see cyc[0] alone
-    # form one clique.
-    cover = _consecutive_cover(steps.work, cyc, isolated_joins_first=True)
-    steps.delete(cyc, "cycle-vertices", length=len(cyc))
     return _close_by_cover(steps, cover)
 
 

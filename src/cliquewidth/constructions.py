@@ -42,8 +42,11 @@ class PartitionedGraph:
 
 @dataclass
 class StructureReport:
-    ok: bool
     failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def _check_size(what: str, n: int, m: int = 0) -> None:
@@ -142,7 +145,7 @@ def verify_complemented_wall(pg: PartitionedGraph) -> StructureReport:
             failures.append(f"B vertices {seen[nb]} and {u} share a neighbourhood")
             break
         seen[nb] = u
-    return StructureReport(not failures, failures)
+    return StructureReport(failures)
 
 
 def gi_reduce(g: Graph) -> PartitionedGraph:
@@ -208,7 +211,7 @@ def verify_gi_profile(pg: PartitionedGraph) -> StructureReport:
     }
     if recovered_a != a_part:
         failures.append("three-degree-2-neighbours recovery does not single out part A")
-    return StructureReport(not failures, failures)
+    return StructureReport(failures)
 
 
 # ---------------------------------------------------------------------------

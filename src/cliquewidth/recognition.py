@@ -170,7 +170,7 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 # Containers whose H-free bipartite graphs form bounded-clique-width classes,
 # and the order of the largest one.
 _BIPARTITE_CONTAINERS = ("K1,3+3P1", "K1,3+P2", "P1+S(1,1,3)", "S(1,2,3)")
-_LARGEST_CONTAINER = 7
+_LARGEST_CONTAINER = max(spec_size(parse_spec(text))[0] for text in _BIPARTITE_CONTAINERS)
 
 
 def bipartite_class_bounded(h: NamedGraphSpec | str | Graph) -> bool:

@@ -15,7 +15,7 @@ does host work only.
 Twins of the pattern (equal open or closed neighbourhoods) take ascending
 images, which keeps both the answer and the least witness.  When the
 presence order is the id order, a hit takes one pass instead of two.
-The same search finds the induced cycles of ``recognition``.  Isomorphism
+The certifiers find their induced cycles with the same search.  Isomorphism
 is individualise-and-refine on one partition of the vertices of both
 graphs, refined from a queue of splitter cells and undone from a trail
 (McKay & Piperno, *Practical graph isomorphism II*, 2014); it returns the

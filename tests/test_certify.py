@@ -2,6 +2,8 @@ import ast
 import hashlib
 import inspect
 import json
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,6 +22,7 @@ from cliquewidth import (
 import cliquewidth.certify as certify_module
 from cliquewidth.certificate import (
     BaseLeaf,
+    BipartiteComplementStep,
     Certificate,
     DELETE_RULES,
     DeleteVerticesStep,
@@ -210,6 +213,193 @@ def test_verify_prune_step():
     assert verify_certificate(g, Certificate(certificate_root(g), step)).ok
 
 
+CLIQUES = BaseLeaf("disjoint_cliques")
+DEEP_NAME = "co(" * 3000 + "P1" + ")" * 3000
+
+# One certificate per verifier failure line, with the exact failure list:
+# (id, graph, root step, failures).  The lists were recorded before the
+# verifier was rewritten as one replay loop, and every refactor keeps them.
+FAILURE_LINES = [
+    ("not-a-clique", "P3", CLIQUES, ["step: component is not a clique near 1"]),
+    ("degree", "K1,3", BaseLeaf("max_degree_2"), ["step: maximum degree 3 exceeds 2"]),
+    ("cycle", "C4", BaseLeaf("forest"), ["step: leaf graph has a cycle"]),
+    ("no-h", "P2", BaseLeaf("bipartite_h_free"),
+     ["step: bipartite leaf missing its forbidden graph"]),
+    ("not-bipartite", "K3", BaseLeaf("bipartite_h_free", h="2P1+P3"),
+     ["step: leaf graph is not bipartite"]),
+    ("bad-h", "P2", BaseLeaf("bipartite_h_free", h="K3,3"),
+     ["step: bad forbidden graph 'K3,3': only K1,s stars are supported (at position 0)"]),
+    ("deep-h", "P2", BaseLeaf("bipartite_h_free", h=DEEP_NAME),
+     ["step: forbidden graph is nested too deeply to check"]),
+    ("unbounded-h", "C4", BaseLeaf("bipartite_h_free", h="C4"),
+     ["step: C4-free bipartite graphs are not a bounded class"]),
+    ("contains-h", "P4", BaseLeaf("bipartite_h_free", h="P3"),
+     ["step: leaf graph contains an induced P3"]),
+    ("not-chordal", "C4", BaseLeaf("chordal_diamond_free"), ["step: leaf graph is not chordal"]),
+    ("diamond", "diamond", BaseLeaf("chordal_diamond_free"),
+     ["step: leaf graph contains a diamond"]),
+    ("k3", "C4+K3", BaseLeaf("k3_k13p2_free"), ["step: leaf graph contains an induced K3"]),
+    ("3p1p2", "C5+2P1", BaseLeaf("k3_k13p2_free"),
+     ["step: leaf graph contains an induced 3P1+P2"]),
+    ("no-expression", "P1", BaseLeaf("explicit_expression"),
+     ["step: explicit leaf missing its expression"]),
+    ("wrong-expression", "C5", BaseLeaf("explicit_expression", expression="v1"),
+     ["step: expression does not evaluate to the leaf graph"]),
+    ("bad-expression", "P1", BaseLeaf("explicit_expression", expression="(v1"),
+     ["step: bad expression: expected '|' (at position 3)"]),
+    ("unknown-kind", "P1", BaseLeaf("tree"), ["step: unknown leaf kind 'tree'"]),
+    ("unknown-justification", "C9", DeleteVerticesStep((0,), "made-up", 1, CLIQUES),
+     ["step: unknown justification 'made-up'"]),
+    ("not-a-cycle", "C9", DeleteVerticesStep((0, 1, 2, 3), "cycle-vertices", 4, CLIQUES),
+     ["step: cycle-vertices [0, 1, 2, 3] are not an induced cycle of 4 to 7 vertices"]),
+    ("rule-bound", "C9", DeleteVerticesStep((0, 1), "shared-attachment-hub", 2, CLIQUES),
+     ["step: stated bound 2 exceeds the shared-attachment-hub bound 1"]),
+    ("no-partition", "2P2", SplitComponentsStep(((0, 1), (2,)), (CLIQUES, CLIQUES)),
+     ["step: parts do not partition the current vertex set"]),
+    ("children-count", "2P2", SplitComponentsStep(((0, 1), (2, 3)), (CLIQUES,)),
+     ["step: 2 parts but 1 children"]),
+    ("crossing", "P4", SplitComponentsStep(((0, 1), (2, 3)), (CLIQUES, CLIQUES)),
+     ["step: edge (1,2) crosses the component split"]),
+    ("missing-deleted", "K3", DeleteVerticesStep((1, 7, 9), "small-class", 2, CLIQUES),
+     ["step: deleted vertices [7, 9] do not exist"]),
+    ("over-stated", "K5", DeleteVerticesStep((0, 1, 2), "small-class", 2, CLIQUES),
+     ["step: deletes 3 vertices, stated bound 2"]),
+    ("missing-complemented", "K3", SubgraphComplementStep((0, 5), CLIQUES),
+     ["step: complemented vertices [5] do not exist"]),
+    ("missing-bipartite", "K3", BipartiteComplementStep((0,), (4,), CLIQUES),
+     ["step: complemented vertices [4] do not exist"]),
+    ("overlap", "P4", BipartiteComplementStep((0, 1), (1, 2), CLIQUES),
+     ["step: bipartite complement sets overlap"]),
+    # Paths below the root, and a failure in each of two split children.
+    ("paths", "P3+C4",
+     SplitComponentsStep(
+         ((0, 1, 2), (3, 4, 5, 6)),
+         (
+             DeleteVerticesStep((0,), "small-class", 2,
+                                SubgraphComplementStep((1, 2), BaseLeaf("tree"))),
+             PruneDegreeOneStep(BaseLeaf("forest")),
+         ),
+     ),
+     ["step.children[0].child.child: unknown leaf kind 'tree'",
+      "step.children[1].child: leaf graph has a cycle"]),
+    ("stop-at-step", "P3+K3+P2",
+     SplitComponentsStep(
+         ((0, 1, 2), (3, 4, 5), (6, 7)),
+         (
+             PruneDegreeOneStep(SubgraphComplementStep((0, 2), BaseLeaf("forest"))),
+             DeleteVerticesStep((3,), "small-class", 2, BaseLeaf("max_degree_2")),
+             BipartiteComplementStep((6,), (7,), BaseLeaf("bipartite_h_free", h="P2")),
+         ),
+     ),
+     ["step.children[0].child: complemented vertices [0, 2] do not exist"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, node, failures", [pytest.param(*rest, id=name) for name, *rest in FAILURE_LINES]
+)
+def test_verifier_failure_lines(text, node, failures):
+    g = realize_text(text)
+    result = verify_certificate(g, Certificate(certificate_root(g), node))
+    assert result.failures == failures
+    assert not result.ok
+
+
+def test_verifier_failure_lines_keep_the_leaves():
+    # Every leaf reached is listed, failing or not, in preorder; a failed
+    # step lists none below it.
+    cases = {name: (text, node) for name, text, node, _ in FAILURE_LINES}
+    expected = {
+        "cycle": [("forest", [(0, 1), (0, 3), (1, 2), (2, 3)])],
+        "unknown-kind": [("tree", [])],
+        "missing-deleted": [],
+        "paths": [("tree", []), ("forest", [(3, 4), (3, 6), (4, 5), (5, 6)])],
+        "stop-at-step": [("max_degree_2", [(4, 5)]), ("bipartite_h_free", [])],
+    }
+    for name, leaves in expected.items():
+        text, node = cases[name]
+        g = realize_text(text)
+        result = verify_certificate(g, Certificate(certificate_root(g), node))
+        assert [(leaf.kind, sorted(lg.edges())) for leaf, lg in result.leaves] == leaves, name
+
+
+def test_verifier_root_mismatch_line():
+    g, other = realize_text("K3+K2"), realize_text("P5")
+    result = verify_certificate(g, Certificate(certificate_root(other), CLIQUES))
+    assert result.failures == [
+        "root fingerprint mismatch: graph Fingerprint(n=5, m=4, hash='412b3d2db14dafe5'), "
+        "certificate Fingerprint(n=5, m=4, hash='300ed93eb649a776')"
+    ]
+    assert not result.ok and result.leaves == []
+
+
+LEAF_KINDS = (
+    "disjoint_cliques", "max_degree_2", "forest", "bipartite_h_free",
+    "chordal_diamond_free", "k3_k13p2_free", "explicit_expression", "tree",
+)
+FORBIDDEN_NAMES = (None, "2P1+P3", "P2+P3", "2P1+P2", "C4", "P3", "K3,3")
+EXPRESSIONS = (None, "v1", "(v1 | v2)", "j(1,2,(v1 | v2))", "(v1")
+
+
+def mutants(node, rng):
+    """Single-field changes of one certificate node."""
+    if isinstance(node, BaseLeaf):
+        yield from (replace(node, kind=kind) for kind in LEAF_KINDS if kind != node.kind)
+        yield replace(node, h=rng.choice(FORBIDDEN_NAMES))
+        yield replace(node, expression=rng.choice(EXPRESSIONS))
+        return
+    for name in ("vertices", "x", "y"):
+        if hasattr(node, name):
+            vs = getattr(node, name)
+            yield replace(node, **{name: vs[:-1]})
+            yield replace(node, **{name: tuple(sorted(vs + (rng.randrange(14),)))})
+    if isinstance(node, DeleteVerticesStep):
+        yield replace(node, justification=rng.choice(sorted(DELETE_RULES) + ["made-up"]))
+        yield replace(node, stated_bound=node.stated_bound + rng.choice((-2, -1, 1, 50)))
+    if isinstance(node, SplitComponentsStep):
+        parts = [list(p) for p in node.parts]
+        i, j = rng.sample(range(len(parts)), 2)
+        parts[j].append(parts[i].pop())
+        yield replace(node, parts=tuple(tuple(sorted(p)) for p in parts))
+        yield replace(node, parts=(node.parts[0][:-1], *node.parts[1:]))
+        yield replace(node, children=node.children[::-1])
+        yield replace(node, children=node.children[:-1])
+
+
+def replaced(node, target, new):
+    """``node`` with the subtree ``target`` (by identity) replaced by ``new``."""
+    if node is target:
+        return new
+    if isinstance(node, SplitComponentsStep):
+        return replace(node, children=tuple(replaced(c, target, new) for c in node.children))
+    if isinstance(node, BaseLeaf):
+        return node
+    return replace(node, child=replaced(node.child, target, new))
+
+
+# Digest of the verifier's outcome on the single-field mutants of the
+# certificates of seeded class members (2665 mutants, 1235 of them
+# failing): ok, failures, and each leaf's kind and edges.  Recorded before
+# the verifier was rewritten as one replay loop.
+MUTATION_DIGEST = "53ed8e41b3094ac869b0443f20c18c3ef27df1b017365ff29cd6b938c72d941c"
+
+
+def test_verifier_outcomes_on_mutants_match_digest():
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    for seed, h2 in enumerate(sorted(CERTIFIERS), start=40):
+        for g in generate_free(range(4, 13), ["diamond", h2], 80, seed=seed):
+            cert = CERTIFIERS[h2](g)
+            for node in iter_steps(cert.step):
+                for mutant in mutants(node, rng):
+                    result = verify_certificate(
+                        g, Certificate(cert.root, replaced(cert.step, node, mutant))
+                    )
+                    leaves = [(leaf.kind, sorted(lg.edges())) for leaf, lg in result.leaves]
+                    digest.update(f"{h2} {result.ok} {result.failures} {leaves}\n".encode())
+    assert digest.hexdigest() == MUTATION_DIGEST
+
+
 # --- JSON ----------------------------------------------------------------
 
 
@@ -283,6 +473,26 @@ def test_reduce_cross_complete_vertex():
     assert verify_certificate(g, cert).ok
 
 
+def test_reduce_fuses_completely_adjacent_cliques():
+    # K18 covered by two 9-cliques: both reach the threshold 2 + 7 and are
+    # completely adjacent, so they fuse into the one clique of a one-part
+    # cover and give its certificate.
+    g, parts = cliques_graph([18])
+    cert = reduce_by_clique_cover(g, [frozenset(range(9)), frozenset(range(9, 18))])
+    assert cert == reduce_by_clique_cover(g, parts)
+    assert cert.step == SubgraphComplementStep(tuple(range(18)), BaseLeaf("max_degree_2"))
+    assert verify_certificate(g, cert).ok
+
+
+def test_reduce_four_big_cliques_without_cross_edges():
+    # Four cliques at the threshold 4 + 7 with no edge between them: the
+    # cover is already disjoint cliques.
+    g, parts = cliques_graph([11, 11, 11, 11])
+    cert = reduce_by_clique_cover(g, parts)
+    assert cert.step == BaseLeaf("disjoint_cliques")
+    assert verify_certificate(g, cert).ok
+
+
 def test_reduce_rejects_bad_cover():
     g, parts = cliques_graph([4, 4])
     with pytest.raises(ValueError):
@@ -324,6 +534,18 @@ def test_separator_complete_vertex():
     assert is_free(g, ["diamond", "2P1+P3"])[0]
     sep = clique_independent_separator(g, set(range(5)), set(range(5, 11)))
     assert sep == frozenset({5})
+
+
+def test_separator_heavy_clique_vertex():
+    # Clique vertex 0 sees all of the independent set but 9; 9 sees no
+    # clique vertex, so 0 alone separates.  (A left-over vertex with a
+    # clique neighbour would make 2P1+P3 with two of 0's neighbours.)
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    edges += [(0, v) for v in range(5, 9)]
+    g = build_graph(10, edges)
+    assert is_free(g, ["diamond", "2P1+P3"])[0]
+    sep = clique_independent_separator(g, set(range(5)), set(range(5, 10)))
+    assert sep == frozenset({0})
 
 
 def test_separator_hits_all_edges_on_members(rng):
@@ -629,6 +851,70 @@ def test_certifier_step_sites(h2, n, edges, wanted):
     cert = CERTIFIERS[h2](g)
     assert verify_certificate(g, cert).ok
     assert wanted <= step_names(cert)
+
+
+def step_summary(cert):
+    """Each node of ``cert`` in preorder: its class name and its fields
+    other than its children."""
+    return [
+        (type(node).__name__, *(getattr(node, f.name) for f in fields(node)
+                                if f.name not in ("child", "children")))
+        for node in iter_steps(cert.step)
+    ]
+
+
+# (diamond, P2+P3) members whose certificates reach the certifier branches
+# that neither sampled members nor STEP_SITES reach, with the whole
+# certificate in preorder.  They stay out of STEP_SITES, which feeds the
+# golden corpus.
+BRANCH_SITES = [
+    # C5 0-1-2-3-4; 5, 6, 7 see 4 and 1; 8, 9, 10 see 0 and 2; the two
+    # classes induce a 6-cycle (K3,3 minus a perfect matching).  Both
+    # classes survive the small-class deletions and are complemented.
+    ("c5-survivor-complement", 11,
+     [(i, (i + 1) % 5) for i in range(5)]
+     + [(c, a) for a in (5, 6, 7) for c in (1, 4)] + [(c, b) for b in (8, 9, 10) for c in (0, 2)]
+     + [(a, b) for a in (5, 6, 7) for b in (8, 9, 10) if b - a != 3],
+     [("DeleteVerticesStep", (0, 1, 2, 3, 4), "cycle-vertices", 5),
+      ("BipartiteComplementStep", (5, 6, 7), (8, 9, 10)),
+      ("BaseLeaf", "max_degree_2", None, None)]),
+    # Around the C4 0-1-2-3, vertex 7 sees both of its pair class's
+    # attached vertices, so it is complemented against them; 5 is then
+    # complemented against the far class {6}; the tree part {4, 5, 8}
+    # splits off the rest.
+    ("c4-core-complete-and-far", 9,
+     [(0, 1), (0, 3), (0, 5), (1, 2), (1, 6), (1, 8), (2, 3), (2, 5), (3, 6), (3, 8), (4, 5),
+      (4, 8), (5, 6), (5, 8), (6, 7), (7, 8)],
+     [("DeleteVerticesStep", (0, 1, 2, 3), "cycle-vertices", 4),
+      ("BipartiteComplementStep", (8,), (7,)),
+      ("BipartiteComplementStep", (5,), (6,)),
+      ("SplitComponentsStep", ((4, 5, 8), (6, 7))),
+      ("BipartiteComplementStep", (8,), (5,)),
+      ("BaseLeaf", "forest", None, None),
+      ("BaseLeaf", "bipartite_h_free", "P2+P3", None)]),
+    # The far-class complement and the tree split with no complete vertex.
+    ("c4-core-far", 8,
+     [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (1, 7), (2, 3), (2, 5), (3, 4), (3, 7), (4, 5),
+      (4, 6), (5, 6), (5, 7)],
+     [("DeleteVerticesStep", (0, 1, 2, 3), "cycle-vertices", 4),
+      ("BipartiteComplementStep", (5,), (7,)),
+      ("SplitComponentsStep", ((4, 5, 6), (7,))),
+      ("BipartiteComplementStep", (4,), (5,)),
+      ("BaseLeaf", "forest", None, None),
+      ("BaseLeaf", "bipartite_h_free", "P2+P3", None)]),
+]
+
+
+@pytest.mark.parametrize(
+    "n, edges, summary", [pytest.param(*rest, id=name) for name, *rest in BRANCH_SITES]
+)
+def test_certifier_branch_sites(n, edges, summary):
+    g = build_graph(n, edges)
+    assert is_free(g, ["diamond", "P2+P3"])[0]
+    cert = certify_diamond_p2p3(g)
+    assert step_summary(cert) == summary
+    assert verify_certificate(g, cert).ok
+    assert_allowed_bounds(cert)
 
 
 @pytest.mark.parametrize("h2", sorted(CERTIFIERS))
