@@ -96,14 +96,9 @@ def _two_p2_p4_witness(
     )
     rest = [i for i in range(len(cliques)) if i not in (a, b)]
     zc, zd = cliques[rest[0]], cliques[rest[1]]
-    cand_c = sorted(
-        v for v in zc if all(not g.has_edge(v, x) for x in (x5, x6, x7, x8))
-    )
-    x3, x4 = cand_c[0], cand_c[1]
-    cand_d = sorted(
-        v for v in zd if all(not g.has_edge(v, x) for x in (x3, x4, x5, x6, x7, x8))
-    )
-    x1, x2 = cand_d[0], cand_d[1]
+    near = g.neighbors(x5) | g.neighbors(x6) | g.neighbors(x7) | g.neighbors(x8)
+    x3, x4 = sorted(zc - near)[:2]
+    x1, x2 = sorted(zd - near - g.neighbors(x3) - g.neighbors(x4))[:2]
     # Pattern 2P2+P4: vertices 0-1 and 2-3 are the two edges, 4-5-6-7 the path.
     emb = Embedding(
         ((0, x1), (1, x2), (2, x3), (3, x4), (4, x5), (5, x6), (6, x7), (7, x8))
@@ -168,10 +163,8 @@ def _reduce_steps(
     if covered != list(g.vertices) or len(set(covered)) != len(covered):
         raise ValueError("cover must partition the vertex set")
     for part in cover:
-        for u in part:
-            for v in part:
-                if u < v and not g.has_edge(u, v):
-                    raise ValueError(f"cover part {sorted(part)} is not a clique")
+        if g.first_non_edge(part):
+            raise ValueError(f"cover part {sorted(part)} is not a clique")
 
     cliques = sorted((frozenset(p) for p in cover if p), key=min)
     k_start = len(cliques)
@@ -185,11 +178,7 @@ def _reduce_steps(
     cliques = [c for c in cliques if len(c) >= k_start + 7]
     work = steps.work
     while pair := next(
-        (
-            (a, b)
-            for a, b in combinations(cliques, 2)
-            if all(work.has_edge(u, v) for u in a for v in b)
-        ),
+        ((a, b) for a, b in combinations(cliques, 2) if work.first_non_edge(a, b) is None),
         None,
     ):
         cliques = sorted([c for c in cliques if c not in pair] + [pair[0] | pair[1]], key=min)
@@ -217,14 +206,13 @@ def _reduce_steps(
 
     if k_final >= 4:
         # The least (i, j, u, v) with u in clique i adjacent to v in clique j.
-        cross = min(
+        cross = next(
             (
-                (i, j, u, v)
+                (i, j, *edge)
                 for i, j in combinations(range(k_final), 2)
-                for u in cliques[i]
-                for v in work.neighbors(u) & cliques[j]
+                if (edge := work.first_edge(cliques[i], cliques[j]))
             ),
-            default=None,
+            None,
         )
         if cross is None:
             return BaseLeaf(DISJOINT_CLIQUES)
@@ -272,18 +260,13 @@ def clique_independent_separator(
     c, i_set = frozenset(clique), frozenset(indep)
     if c & i_set:
         raise ValueError("clique and independent set must be disjoint")
-    for u in c:
-        for v in c:
-            if u < v and not g.has_edge(u, v):
-                raise ValueError("first argument is not a clique")
-    for u in i_set:
-        for v in i_set:
-            if u < v and g.has_edge(u, v):
-                raise ValueError("second argument is not independent")
+    if g.first_non_edge(c):
+        raise ValueError("first argument is not a clique")
+    if g.first_edge(i_set):
+        raise ValueError("second argument is not independent")
     _require_free(g, ["diamond", "2P1+P3"])
 
-    cross = [(u, v) for u in c for v in i_set if g.has_edge(u, v)]
-    if not cross:
+    if g.first_edge(c, i_set) is None:
         return frozenset()
     if min(len(i_set), len(c)) <= 4:
         return c if len(c) <= len(i_set) else i_set
@@ -308,20 +291,17 @@ def clique_independent_separator(
         None,
     )
     if heavy is not None:
+        # A vertex v of rest off heavy has no clique neighbour y: v-y-z, for
+        # z a third clique vertex, plus two of heavy's independent
+        # neighbours would be an induced 2P1+P3.
+        if g.first_edge(rest - g.neighbors(heavy), c):
+            raise _contradiction("a vertex off the heavy vertex has a clique neighbour")
         sep.add(heavy)
-        leftover = [v for v in rest if not g.has_edge(heavy, v)]
-        for v in leftover:
-            nbr = sorted(g.neighbors(v) & c)
-            if nbr:
-                sep.add(nbr[0])
-        if len(sep) > 4:
-            raise _contradiction("separator exceeded four vertices")
         return frozenset(sep)
     for x in c:
         if len(g.neighbors(x) & rest) > 1:
             raise _contradiction("a clique vertex keeps two independent neighbours")
-    remaining = [(u, v) for u in c for v in rest if g.has_edge(u, v)]
-    if remaining:
+    if g.first_edge(c, rest):
         raise _contradiction("a matching between clique and independent set survived")
     return frozenset(sep)
 
@@ -379,17 +359,13 @@ def _cycle_pairs(cyc: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tupl
 
 
 def _assert_clique(g: Graph, vs: set[int] | frozenset[int], what: str) -> None:
-    for u in vs:
-        for v in vs:
-            if u < v and not g.has_edge(u, v):
-                raise _contradiction(f"{what} is not a clique ({u} !~ {v})")
+    if pair := g.first_non_edge(vs):
+        raise _contradiction(f"{what} is not a clique ({pair[0]} !~ {pair[1]})")
 
 
 def _assert_independent(g: Graph, vs: set[int] | frozenset[int], what: str) -> None:
-    for u in vs:
-        for v in vs:
-            if u < v and g.has_edge(u, v):
-                raise _contradiction(f"{what} is not independent ({u} ~ {v})")
+    if pair := g.first_edge(vs):
+        raise _contradiction(f"{what} is not independent ({pair[0]} ~ {pair[1]})")
 
 
 def _cycle_classes(g: Graph, cyc: tuple[int, ...]) -> dict[frozenset[int], set[int]]:
@@ -411,9 +387,8 @@ def _seeing(classes: dict[frozenset[int], set[int]], *seen: int) -> set[int]:
 def _split(work: Graph, a: frozenset[int], a_node: Node, b: frozenset[int], b_node: Node) -> Node:
     """Split ``work`` into parts ``a`` and ``b`` with their nodes, listed by
     least vertex; no edge of ``work`` may cross."""
-    for u, v in work.edges():
-        if (u in a) != (v in a):
-            raise _contradiction(f"edge ({u},{v}) crosses a component split")
+    if edge := work.first_edge(a, b):
+        raise _contradiction(f"edge ({edge[0]},{edge[1]}) crosses a component split")
     if min(b) < min(a):
         a, a_node, b, b_node = b, b_node, a, a_node
     return SplitComponentsStep((tuple(sorted(a)), tuple(sorted(b))), (a_node, b_node))
@@ -756,10 +731,8 @@ def _certify_p2p3_with_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
     for i in (1, 2):
         _assert_independent(work, v_sets[i], "an opposite-pair class")
     _assert_independent(work, x_set, "the cycle-free class")
-    for i in (1, 2, 3, 4):
-        for x in x_set:
-            if work.neighbors(x) & w_sets[i]:
-                raise _contradiction("cycle-free class touches a pendant class")
+    if any(work.first_edge(x_set, w_sets[i]) for i in (1, 2, 3, 4)):
+        raise _contradiction("cycle-free class touches a pendant class")
 
     # Pendants of one side adjacent to pendants of the other side split off
     # as a bipartite piece after two complementations.
@@ -835,9 +808,8 @@ def _certify_p2p3_c4_core(work: Graph, order: tuple[int, ...]) -> Node:
             None,
         )
         if hub is not None:
-            for x in x0:
-                if not work.has_edge(hub, x):
-                    raise _contradiction("a doubly attached vertex avoids the shared hub")
+            if not x0 <= work.neighbors(hub):
+                raise _contradiction("a doubly attached vertex avoids the shared hub")
             steps.delete((hub,), "shared-attachment-hub")
             return steps.close(_certify_p2p3_c4_core(steps.work, order))
 

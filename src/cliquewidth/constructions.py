@@ -125,15 +125,10 @@ def verify_complemented_wall(pg: PartitionedGraph) -> StructureReport:
     a_part, b_part, c_part = pg.parts["A"], pg.parts["B"], pg.parts["C"]
     failures: list[str] = []
     for name, part in (("A", a_part), ("C", c_part), ("B", b_part)):
-        for u in part:
-            inside = g.neighbors(u) & part
-            if inside:
-                failures.append(f"{name} is not independent: {u} ~ {min(inside)}")
-                break
-    for u in sorted(a_part):
-        if not (c_part <= g.neighbors(u)):
-            failures.append(f"A vertex {u} is not complete to C")
-            break
+        if edge := g.first_edge(part):
+            failures.append(f"{name} is not independent: {edge[0]} ~ {edge[1]}")
+    if pair := g.first_non_edge(a_part, c_part):
+        failures.append(f"A vertex {pair[0]} is not complete to C")
     for u in sorted(b_part):
         if len(g.neighbors(u) & a_part) != 1 or len(g.neighbors(u) & c_part) != 1:
             failures.append(f"B vertex {u} lacks its unique A and C neighbours")

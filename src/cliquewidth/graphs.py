@@ -115,6 +115,41 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, frozenset())
 
+    def first_edge(
+        self, xs: Iterable[int], ys: Iterable[int] | None = None
+    ) -> tuple[int, int] | None:
+        """The least edge ``(x, y)``, ``x < y``, with both ends in ``xs``;
+        given ``ys``, the least edge ``(x, y)`` with ``x`` in ``xs`` and
+        ``y`` in ``ys``.  None when ``xs`` is independent, or anticomplete
+        to ``ys``.  Pairs are ordered by ``x``, then ``y``."""
+        return self._first_pair(xs, ys, adjacent=True)
+
+    def first_non_edge(
+        self, xs: Iterable[int], ys: Iterable[int] | None = None
+    ) -> tuple[int, int] | None:
+        """The least pair of distinct non-adjacent vertices ``(x, y)``,
+        ``x < y``, in ``xs``; given ``ys``, the least such pair with ``x``
+        in ``xs`` and ``y`` in ``ys``.  None when ``xs`` is a clique, or
+        complete to ``ys``."""
+        return self._first_pair(xs, ys, adjacent=False)
+
+    def _first_pair(self, xs, ys, adjacent: bool) -> tuple[int, int] | None:
+        # Within one set the least x with a partner has only larger
+        # partners: a smaller one would have had x as its partner first.
+        xs = sorted(set(xs))
+        _require(self, xs)
+        if ys is None:
+            ys = set(xs)
+        else:
+            ys = set(ys)
+            _require(self, sorted(ys))
+        for x in xs:
+            partners = ys & self._adj[x] if adjacent else ys - self._adj[x]
+            partners.discard(x)
+            if partners:
+                return x, min(partners)
+        return None
+
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(nb) for nb in self._adj.values()))
 

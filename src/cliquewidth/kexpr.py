@@ -79,26 +79,43 @@ class ExpressionPreconditionError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Create:
+class _Node:
+    """Equality, hashing and repr of the four node kinds, all read from the
+    text of ``print_expression``: it runs on a stack at any depth, and the
+    parser reads each text back to exactly one expression."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return print_expression(self) == print_expression(other)
+
+    def __hash__(self) -> int:
+        return hash(print_expression(self))
+
+    def __repr__(self) -> str:
+        return f"parse_expression({print_expression(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Create(_Node):
     label: int
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Node):
     left: "KExpression"
     right: "KExpression"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Node):
     i: int
     j: int
     child: "KExpression"
 
 
-@dataclass(frozen=True)
-class Rename:
+@dataclass(frozen=True, eq=False, repr=False)
+class Rename(_Node):
     i: int
     j: int
     child: "KExpression"
@@ -701,16 +718,24 @@ def expr_forest(g: Graph) -> KExpression:
 
     # Bottom-up: the subtree root keeps label 1, retired vertices hold 3;
     # each child root is renamed to 2, joined to the root, then retired.
-    def tree(v: int, parent: int | None) -> KExpression:
-        e: KExpression = Create(1)
-        for child in sorted(g.neighbors(v)):
-            if child == parent:
-                continue
-            sub: KExpression = Rename(1, 2, tree(child, v))
-            e = Rename(2, 3, Join(1, 2, Union(e, sub)))
-        return e
-
-    parts = [tree(min(comp), None) for comp in components(g)]
+    # Each tree is rooted at its least vertex and built in reverse
+    # breadth-first order, so every subtree is built before its parent.
+    parts = []
+    for comp in components(g):
+        root = min(comp)
+        parent, order = {root: root}, [root]
+        for v in order:
+            for w in g.neighbors(v):
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        built: dict[int, KExpression] = {}
+        for v in reversed(order):
+            e: KExpression = Create(1)
+            for child in sorted(g.neighbors(v) - {parent[v]}):
+                e = Rename(2, 3, Join(1, 2, Union(e, Rename(1, 2, built.pop(child)))))
+            built[v] = e
+        parts.append(built[root])
     return _fold_union(parts)
 
 

@@ -125,11 +125,8 @@ def clique_cover_exact(g: Graph) -> list[frozenset[int]]:
                 (frozenset(verts[i] for i in range(n) if cls >> i & 1) for cls in classes if cls),
                 key=min,
             )
-            for part in cover:
-                for u in part:
-                    for v in part:
-                        if u < v and not g.has_edge(u, v):
-                            raise AssertionError("cover part is not a clique")
+            if any(g.first_non_edge(part) for part in cover):
+                raise AssertionError("cover part is not a clique")
             return cover
     raise AssertionError("unreachable: n colours always suffice")
 
@@ -143,18 +140,11 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     its neighbours is eliminated.
     """
     remaining = set(g.vertices)
-
-    def simplicial(v: int) -> bool:
-        nbrs = [w for w in g.neighbors(v) if w in remaining]
-        return all(
-            g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]
-        )
-
     queue, queued = deque(g.vertices), set(g.vertices)
     while queue:
         v = queue.popleft()
         queued.remove(v)
-        if simplicial(v):
+        if g.first_non_edge(g.neighbors(v) & remaining) is None:
             remaining.remove(v)
             fresh = [w for w in g.neighbors(v) if w in remaining and w not in queued]
             queue.extend(fresh)

@@ -212,6 +212,7 @@ def test_construct_complemented_wall_rejects_graph6(tmp_path, capsys):
             "error: complemented wall height 2000 gives 20015999 vertices, above the limit of 1000000\n",
         ),
         (["construct", "complemented-wall", "-10000"], None, "error: wall height must be at least 2\n"),
+        (["check-free"], "P3", "error: at least one --spec is required\n"),
     ],
 )
 def test_value_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, graph, err):
@@ -348,6 +349,8 @@ def test_construct_output_feeds_graph_commands(tmp_path, capsys):
         {"base": 5},
         {"op": "prune_degree_one", "children": [{"base": "max_degree_2"}, {"base": "bogus"}]},
         {"base": "max_degree_2", "children": [{"base": "bogus"}]},
+        {"op": "bogus", "children": [{"base": "max_degree_2"}]},
+        {"op": "prune_degree_one", "children": []},
     ],
     ids=[
         "children-not-a-list",
@@ -355,6 +358,8 @@ def test_construct_output_feeds_graph_commands(tmp_path, capsys):
         "integer-leaf-base",
         "single-child-step-with-two-children",
         "leaf-with-children",
+        "unknown-op",
+        "step-without-child",
     ],
 )
 def test_verify_certificate_malformed(tmp_path, capsys, step):
@@ -366,6 +371,38 @@ def test_verify_certificate_malformed(tmp_path, capsys, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[]", '"v1"', "5", "null"])
+def test_verify_certificate_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
+    c5 = write_graph(tmp_path, "c5.el", "C5")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["verify-certificate", c5, str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: cannot load certificate: certificate must be a JSON object\n",
+    )
+
+
+def test_certify_reports_a_failed_self_verification(tmp_path, capsys, monkeypatch):
+    # A certifier whose certificate does not verify: nothing is written,
+    # each failure goes to stderr and the exit code is 2.
+    def forged(g):
+        leaf = BaseLeaf("disjoint_cliques")
+        parts = ((0, 1, 2), (3, 4, 5))
+        return Certificate(certificate_root(g), SplitComponentsStep(parts, (leaf, leaf)))
+
+    monkeypatch.setattr(certify_module, "certify_diamond_p2p3", forged)
+    out_path = tmp_path / "cert.json"
+    path = write_graph(tmp_path, "g.el", "P3+P3")
+    assert main(["certify", path, "P2+P3", "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "self-verification failed: step.children[0]: component is not a clique near 1\n"
+        "self-verification failed: step.children[1]: component is not a clique near 4\n",
+    )
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

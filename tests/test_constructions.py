@@ -177,6 +177,122 @@ def test_complemented_wall_mutations_fail():
     assert any("neighbourhood" in f for f in report.failures)
 
 
+def _edited(pg, drop=(), add=(), moves=()):
+    """``pg`` with the edges ``drop`` removed, the edges ``add`` added and
+    each ``(vertex, part)`` of ``moves`` moved into that part."""
+    edges = [e for e in pg.graph.edges() if e not in drop] + list(add)
+    parts = dict(pg.parts)
+    for v, name in moves:
+        parts = {k: p - {v} for k, p in parts.items()}
+        parts[name] = parts[name] | {v}
+    return PartitionedGraph(Graph(pg.graph.vertices, edges), parts)
+
+
+WALL = complemented_wall(2)  # A = 0, 2, 4, ...; C = 1, 3, 6, ...; B = 16..34; 16 ~ 0, 1
+GI = gi_reduce(realize_text("P1"))  # A = 0..4, C = 5..14, B = 15..34; 15 ~ 0, 5
+
+
+@pytest.mark.parametrize(
+    "pg, verify, expected",
+    [
+        (
+            _edited(WALL, drop={(0, 1)}),
+            verify_complemented_wall,
+            ["A vertex 0 is not complete to C"],
+        ),
+        (_edited(WALL, add={(2, 0)}), verify_complemented_wall, ["A is not independent: 0 ~ 2"]),
+        (_edited(WALL, add={(3, 1)}), verify_complemented_wall, ["C is not independent: 1 ~ 3"]),
+        (
+            _edited(WALL, add={(20, 17)}),
+            verify_complemented_wall,
+            ["B is not independent: 17 ~ 20"],
+        ),
+        (
+            _edited(WALL, drop={(0, 16)}),
+            verify_complemented_wall,
+            ["B vertex 16 lacks its unique A and C neighbours"],
+        ),
+        (
+            _edited(WALL, drop={e for e in WALL.graph.edges() if 17 in e}, add={(0, 17), (1, 17)}),
+            verify_complemented_wall,
+            ["B vertices 16 and 17 share a neighbourhood"],
+        ),
+        (
+            _edited(WALL, drop={(0, 1)}, add={(2, 0), (3, 1), (20, 17)}),
+            verify_complemented_wall,
+            [
+                "A is not independent: 0 ~ 2",
+                "C is not independent: 1 ~ 3",
+                "B is not independent: 17 ~ 20",
+                "A vertex 0 is not complete to C",
+            ],
+        ),
+        (
+            _edited(GI, drop={(0, 5)}),
+            verify_gi_profile,
+            ["B vertex 15 joins non-adjacent endpoints 0,5"],
+        ),
+        (
+            _edited(GI, drop={(0, 15)}),
+            verify_gi_profile,
+            ["B vertex 15 has degree 1 != 2", "degree-2 recovery does not single out part B"],
+        ),
+        (
+            _edited(GI, moves={(15, "A")}),
+            verify_gi_profile,
+            [
+                "A vertex 15 has degree 2 < 3",
+                "degree-2 recovery does not single out part B",
+                "three-degree-2-neighbours recovery does not single out part A",
+            ],
+        ),
+        (
+            _edited(GI, moves={(15, "C")}),
+            verify_gi_profile,
+            ["C vertex 15 has degree 2 < 3", "degree-2 recovery does not single out part B"],
+        ),
+        (
+            _edited(GI, moves={(0, "B")}),
+            verify_gi_profile,
+            [
+                "B vertex 0 has degree 14 != 2",
+                "degree-2 recovery does not single out part B",
+                "three-degree-2-neighbours recovery does not single out part A",
+            ],
+        ),
+    ],
+    ids=[
+        "wall-a-c-non-edge",
+        "wall-a-edge",
+        "wall-c-edge",
+        "wall-b-edge",
+        "wall-b-loses-an-edge",
+        "wall-b-twins",
+        "wall-all-at-once",
+        "gi-a-c-non-edge",
+        "gi-b-loses-an-edge",
+        "gi-b-vertex-in-a",
+        "gi-b-vertex-in-c",
+        "gi-a-vertex-in-b",
+    ],
+)
+def test_structure_failure_lines(pg, verify, expected):
+    assert verify(pg).failures == expected
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ({"A": {0, 1}, "B": {1, 2}}, "part B overlaps another part"),
+        ({"A": {0, 1}}, "parts must cover the vertex set exactly"),
+        ({"A": {0, 1, 2, 3}}, "parts must cover the vertex set exactly"),
+    ],
+)
+def test_partitioned_graph_rejects_bad_parts(parts, message):
+    with pytest.raises(GraphError, match=message):
+        PartitionedGraph(realize_text("P3"), {k: frozenset(p) for k, p in parts.items()})
+
+
 def test_complemented_wall_freeness_small():
     pg = complemented_wall(2)
     assert is_free(pg.graph, ["diamond", "P2+P4"])[0]

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from cliquewidth.graphs import (
     find_hole,
     find_induced_p3,
     parse_edge_list_text,
+    subdivide,
 )
 from brute import random_graph, two_core
 
@@ -120,6 +122,36 @@ def test_derived_operations_match_edge_lists(data):
         assert order == sorted(exp_verts) and masks == own
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_edge_and_non_edge_match_brute_force(data):
+    # Each query gives the least pair that a plain scan of every pair in
+    # sorted order finds, inside one set and between two disjoint sets.
+    verts, edges = data.draw(sparse_id_graphs())
+    g, edge_set = Graph(verts, edges), set(edges)
+    xs = _subset(data.draw, verts)
+    ys = [v for v in _subset(data.draw, verts) if v not in xs]
+
+    def least(pairs, adjacent):
+        hits = (p for p in pairs if (tuple(sorted(p)) in edge_set) == adjacent)
+        return next(hits, None)
+
+    inside = list(itertools.combinations(sorted(xs), 2))
+    between = list(itertools.product(sorted(xs), sorted(ys)))
+    assert g.first_edge(xs) == least(inside, True)
+    assert g.first_non_edge(xs) == least(inside, False)
+    assert g.first_edge(xs, ys) == least(between, True)
+    assert g.first_non_edge(xs, ys) == least(between, False)
+    assert g.first_edge(ys, xs) == least(itertools.product(sorted(ys), sorted(xs)), True)
+    unknown = max(verts, default=-1) + 1
+    for query in (g.first_edge, g.first_non_edge):
+        assert query([]) is None and query([], ys) is None and query(xs, []) is None
+        with pytest.raises(GraphError, match=f"unknown vertex {unknown}"):
+            query(xs + [unknown])
+        with pytest.raises(GraphError, match=f"unknown vertex {unknown}"):
+            query(xs, ys + [unknown])
+
+
 def test_unvalidated_construction_stays_in_graphs():
     # Only graphs.py may build a graph from a raw adjacency map or read one.
     package = Path(__file__).resolve().parent.parent / "src" / "cliquewidth"
@@ -154,6 +186,30 @@ def test_build_graph_rejects_duplicates_and_range():
         build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         build_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph([2, -1], []), "negative vertex id -1"),
+        (lambda: Graph([0, 1], [(1, 1)]), "self-loop at vertex 1"),
+        (lambda: Graph([0, 1], [(0, 5)]), r"edge \(0,5\) references unknown vertex"),
+        (lambda: build_graph(-1, []), "vertex count must be non-negative"),
+        (lambda: subdivide(realize_text("P2"), -1), "subdivision count must be non-negative"),
+        (lambda: from_graph6("A!"), "invalid graph6 character '!'"),
+    ],
+    ids=[
+        "negative-id",
+        "self-loop",
+        "unknown-end",
+        "negative-count",
+        "negative-subdivision",
+        "graph6-char",
+    ],
+)
+def test_outside_input_is_rejected(build, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        build()
 
 
 def test_complement_k4():

@@ -71,6 +71,19 @@ def test_eval_rejects_equal_join_labels():
             eval_expression(parse_expression(text))
 
 
+def test_eval_rejects_non_positive_labels():
+    # The parser refuses v0; an expression built in code reaches the evaluator.
+    for label in (0, -3):
+        with pytest.raises(KExprEvalError, match=f"^labels must be positive, got {label}$"):
+            eval_expression(Union(Create(1), Create(label)))
+
+
+@pytest.mark.parametrize("builder", [expr_disjoint_cliques, expr_forest, expr_max_degree_2])
+def test_builders_reject_the_empty_graph(builder):
+    with pytest.raises(ExpressionPreconditionError, match="^empty graph has no expression$"):
+        builder(build_graph(0, []))
+
+
 def test_parse_print_round_trip():
     texts = [
         "j(1,2,(v1 | v2))",
@@ -132,8 +145,12 @@ def test_linear_expressions_at_any_depth(build, n, k, edges):
     assert width(e) == k
     text = print_expression(e)
     assert print_expression(parse_expression(text)) == text
-    swapped = print_expression(substitute_labels(e, {1: 2, 2: 1}))
-    assert swapped == text.translate(str.maketrans("12", "21"))
+    swapped = substitute_labels(e, {1: 2, 2: 1})
+    assert print_expression(swapped) == text.translate(str.maketrans("12", "21"))
+    # Equality, hashing and repr read the printed text, at any depth too.
+    again = build(n)
+    assert e == again and hash(e) == hash(again) and e != swapped
+    assert repr(e) == f"parse_expression({text!r})"
 
 
 def test_verify_expression_examples():
@@ -282,6 +299,10 @@ def test_expr_forest(rng):
         assert len(set(cycle)) == len(cycle) >= 3
         assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
         assert str(err.value) == f"graph has a cycle {list(cycle)}"
+    # A path far longer than recursion could follow.
+    path = build_graph(3000, [(v, v + 1) for v in range(2999)])
+    e = expr_forest(path)
+    assert width(e) <= 3 and verify_expression(e, path)
 
 
 def test_expr_max_degree_2(rng):

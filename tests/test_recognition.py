@@ -56,6 +56,7 @@ def test_clique_cover_examples():
     assert len(clique_cover_exact(realize_text("C4"))) == 2
     assert len(clique_cover_exact(realize_text("K5"))) == 1
     assert len(clique_cover_exact(realize_text("C5"))) == 3
+    assert clique_cover_exact(build_graph(0, [])) == []
 
 
 def test_clique_cover_matches_brute_chromatic(rng):
