@@ -32,9 +32,11 @@ Twin classes.  Every class of a state on S is therefore a set of twins
 towards V - S: a created singleton trivially, and fusion and renames only
 join classes with equal signatures outside S.  So a state on S has at least
 t(S) classes, where t(S) counts the distinct neighbourhoods outside S among
-the vertices of S, and the search skips every S with t(S) > k.  For the same
-reason each class of one union operand is complete or anticomplete to each
-class of the other, so only a fused class can make a forced join fail.
+the vertices of S, and the search skips every S with t(S) > k.  When t(S) = k,
+the twin partition of S is the only state S can have, so the scan of its
+splits stops at the first state.  For the same reason each class of one union
+operand is complete or anticomplete to each class of the other, so only a
+fused class can make a forced join fail.
 
 Decomposition.  Clique-width survives substitution: the width of Q[M1..Mk]
 is the maximum of the widths of Q and of the Mi (Courcelle & Olariu, *Upper
@@ -298,7 +300,11 @@ def verify_expression(e: KExpression, g: Graph) -> bool:
 def _twin_counts(masks: list[int], n: int) -> bytes:
     """t(S) for every vertex subset S: the number of distinct neighbourhoods
     outside S among the vertices of S."""
-    return bytes(len({masks[v] & ~s for v in range(n) if s >> v & 1}) for s in range(1 << n))
+    # members[s] lists the vertices of s, built by doubling over v.
+    members: list[tuple[int, ...]] = [()]
+    for v in range(n):
+        members += [m + (v,) for m in members]
+    return bytes(len({masks[v] & ~s for v in vs}) for s, vs in enumerate(members))
 
 
 def _matchings(open_js: list[tuple[int, list[int]]], least: int, x: int, used: int,
@@ -423,13 +429,15 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
     def reach(s: int) -> dict[tuple, tuple]:
         """Build and memoise the states of s from those of its splits; {}
         when t(s) > k or nothing reaches s.  On the full set, stops at the
-        first product.  Callers look in ``states`` first."""
+        first product; so does a subset with t(s) = k, whose twin partition
+        is the only state it can have.  Callers look in ``states`` first."""
         cur = states[s] = {}
         if twins[s] > k:
             return cur
         if s & (s - 1) == 0:
             cur[(s,)] = ("create", s.bit_length() - 1)
             return cur
+        stop = s == full or twins[s] == k
         outside = ~s
         # Splits s = s1 | s2 with the least vertex in s1, s1 descending.
         low = s & -s
@@ -452,7 +460,7 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
                     for prod in union_products(p1, sig1, p2, sig2, s1, s2):
                         if prod not in cur:
                             cur[prod] = ("union", s1, p1, s2, p2)
-                            if s == full:
+                            if stop:
                                 return cur
         # Closure under renames: merge classes whose members look the same
         # from outside s.

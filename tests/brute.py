@@ -178,8 +178,17 @@ def brute_is_induced_embedding(host: Graph, pattern: Graph, mapping: dict[int, i
     )
 
 
+def brute_twin_partition(g: Graph, subset: set[int]) -> set[frozenset[int]]:
+    """The vertices of ``subset`` grouped by their neighbourhood outside it:
+    the classes of twins towards the rest."""
+    inside = set(subset)
+    classes: dict[frozenset[int], set[int]] = {}
+    for v in inside:
+        classes.setdefault(frozenset(g.neighbors(v) - inside), set()).add(v)
+    return {frozenset(members) for members in classes.values()}
+
+
 def brute_twin_classes(g: Graph, subset: set[int]) -> int:
     """How many distinct neighbourhoods outside ``subset`` its vertices
     have: the least number of classes of twins towards the rest."""
-    inside = set(subset)
-    return len({g.neighbors(v) - inside for v in inside})
+    return len(brute_twin_partition(g, subset))

@@ -38,7 +38,7 @@ from cliquewidth import (
 from cliquewidth.cli import main
 from cliquewidth.graphs import bit_adjacency
 from cliquewidth.kexpr import expr_labels
-from brute import brute_has_module, brute_twin_classes, random_graph
+from brute import brute_has_module, brute_twin_classes, brute_twin_partition, random_graph
 import oracles
 from oracles import naive_clique_width
 
@@ -469,12 +469,25 @@ def test_decomposed_width_matches_whole_graph_search():
         assert width(expr) == k and verify_expression(expr, g)
 
 
+def test_twin_counts_match_brute_force():
+    rng = random.Random(12)
+    for n in range(1, 11):
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        _, _, masks = bit_adjacency(g)
+        twins = kexpr_module._twin_counts(masks, n)
+        assert len(twins) == 1 << n
+        for s in range(1 << n):
+            assert twins[s] == brute_twin_classes(g, {v for v in range(n) if s >> v & 1})
+
+
 def test_search_states_are_twin_classes():
     # Every class of a stored state on S is a set of twins towards V - S,
     # so a state on S has at least t(S) classes and none is stored where
-    # t(S) > k.  The search skips those subsets on this ground alone.
+    # t(S) > k.  The search skips those subsets on this ground alone.  Where
+    # t(S) = k the twin partition is the only state S can have, which is
+    # what lets the scan of S's splits stop at its first state.
     rng = random.Random(11)
-    skipped = 0
+    skipped = tight = 0
     for _ in range(16):
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
@@ -488,17 +501,22 @@ def test_search_states_are_twin_classes():
             for s in range(1, 1 << n):
                 subset = {v for v in range(n) if s >> v & 1}
                 parts = states.get(s)
-                if brute_twin_classes(g, subset) > k:
+                t = brute_twin_classes(g, subset)
+                if t > k:
                     skipped += 1
                     assert not parts
                     continue
+                if t == k and parts:
+                    tight += 1
+                    [part] = parts
+                    assert {frozenset(v for v in subset if c >> v & 1) for c in part} == brute_twin_partition(g, subset)
                 for part in parts or ():
                     classes = [[v for v in subset if c >> v & 1] for c in part]
-                    assert len(classes) <= k
+                    assert t <= len(classes) <= k
                     assert sorted(v for members in classes for v in members) == sorted(subset)
                     for members in classes:
                         assert len({g.neighbors(v) - subset for v in members}) == 1
-    assert skipped > 0
+    assert skipped > 0 and tight > 0
 
 
 # (graph, width, subsets with states built at that width).  The counts are
@@ -511,11 +529,14 @@ ON_DEMAND_CASES = [
 ]
 
 
+def rook_3x3() -> Graph:
+    """K3 x K3: adjacent when in one row or one column of a 3x3 grid."""
+    return build_graph(9, [(a, b) for a in range(9) for b in range(a) if a // 3 == b // 3 or a % 3 == b % 3])
+
+
 def test_search_builds_subsets_on_demand():
-    # K3 x K3: adjacent when in one row or one column of a 3x3 grid.
-    rook = build_graph(9, [(a, b) for a in range(9) for b in range(a) if a // 3 == b // 3 or a % 3 == b % 3])
     for name, k, ceiling in ON_DEMAND_CASES:
-        g = rook if name == "rook-3x3" else realize_text(name)
+        g = rook_3x3() if name == "rook-3x3" else realize_text(name)
         _, _, masks = bit_adjacency(g)
         twins = kexpr_module._twin_counts(masks, g.n)
         assert kexpr_module._search(masks, g.n, k - 1, twins) is None
@@ -606,6 +627,37 @@ def test_solver_witnesses_match_golden_digest():
     assert any(line.endswith("None") for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SOLVER_GOLDEN_DIGEST
+
+
+def large_prime_corpus() -> list[Graph]:
+    """P10, C9, C10, the 3x3 rook's graph and six seeded prime G(10, p): prime
+    graphs of width 3 to 5, where the search builds the most subsets."""
+    rng = random.Random(2024)
+    graphs = [realize_text(t) for t in ("P10", "C9", "C10")] + [rook_3x3()]
+    while len(graphs) < 10:
+        g = random_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
+        if not brute_has_module(g):
+            graphs.append(g)
+    return graphs
+
+
+# SHA-256 of every result and printed witness over large_prime_corpus() at
+# k_max = 4 and 6, recorded before subsets with t(S) = k stopped their split
+# scan at their first state.
+LARGE_PRIME_GOLDEN_DIGEST = "60ff7a24c7143ee4fb58826f563177e22a3a094d9c48439f661269381420e883"
+
+
+def test_large_prime_witnesses_match_golden_digest():
+    lines = []
+    for g in large_prime_corpus():
+        assert not brute_has_module(g)
+        for k_max in (4, 6):
+            found = clique_width_exact(g, k_max)
+            shown = "None" if found is None else f"{found[0]} {print_expression(found[1])}"
+            lines.append(f"{g.n} {sorted(g.edges())} k_max={k_max}: {shown}")
+    assert {line.split(": ")[1].split()[0] for line in lines} == {"None", "3", "4", "5"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LARGE_PRIME_GOLDEN_DIGEST
 
 
 def random_expression(rng: random.Random) -> KExpression:
