@@ -265,7 +265,15 @@ def clique_independent_separator(
     if g.first_edge(i_set):
         raise ValueError("second argument is not independent")
     _require_free(g, ["diamond", "2P1+P3"])
+    return _clique_independent_separator(g, c, i_set)
 
+
+def _clique_independent_separator(
+    g: Graph, c: frozenset[int], i_set: frozenset[int]
+) -> frozenset[int]:
+    """The separator of ``clique_independent_separator``, for a caller that
+    has checked its inputs: ``c`` a clique, ``i_set`` an independent set
+    disjoint from it, ``g`` (diamond, 2P1+P3)-free."""
     if g.first_edge(c, i_set) is None:
         return frozenset()
     if min(len(i_set), len(c)) <= 4:
@@ -572,7 +580,7 @@ def _certify_2p1p3_around_c4(g: Graph, cyc: tuple[int, ...]) -> Node:
         for i_part in indeps:
             if not i_part:
                 continue
-            separators |= clique_independent_separator(g, c_part, i_part)
+            separators |= _clique_independent_separator(g, frozenset(c_part), frozenset(i_part))
     steps = _Steps(g)
     if separators:
         steps.delete(separators, "clique-independent-separators")

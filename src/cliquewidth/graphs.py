@@ -4,10 +4,12 @@ Vertex ids are arbitrary non-negative integers.  Operations that derive a new
 graph never renumber surviving vertices, so reduction certificates and
 witnesses can keep naming vertices across a whole chain of operations.
 
-``Graph(vertices, edges)`` validates its input and is the way in for graphs
-from outside the program.  The derived operations below work on the
-adjacency sets of a graph that already passed that check and build their
-result with the private ``Graph._from_adj``, which checks nothing.
+``Graph(vertices, edges)`` and ``build_graph(n, edges)`` validate their input
+and are the ways in for graphs from outside the program.  The derived
+operations below work on the adjacency sets of a graph that already passed
+such a check.  They and ``build_graph``, which builds the adjacency sets in
+its one validating pass, wrap their result with the private
+``Graph._from_adj``, which checks nothing.
 """
 from __future__ import annotations
 
@@ -169,18 +171,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1, rejecting malformed edge lists."""
     if n < 0:
         raise GraphError("vertex count must be non-negative")
-    edges = list(edges)
-    seen: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
+        if u not in adj or v not in adj:
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if v in adj[u]:
             raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-    return Graph(range(n), edges)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._from_adj({v: frozenset(nbrs) for v, nbrs in adj.items()})
 
 
 def _require(g: Graph, vs: Iterable[int]) -> None:

@@ -40,13 +40,14 @@ fused class can make a forced join fail.
 
 Decomposition.  Clique-width survives substitution: the width of Q[M1..Mk]
 is the maximum of the widths of Q and of the Mi (Courcelle & Olariu, *Upper
-bounds to the clique width of graphs*, 2000).  So before searching, the
-solver looks for a nontrivial module M, solves G[M] and the quotient G/M
-(M contracted to its least vertex) apart, and composes the witnesses: the
-representative's Create(l) leaf becomes the module's expression followed by
-renames of its labels onto l.  Only prime graphs and graphs on at most two
-vertices reach the subset search; a disjoint union or a join of smaller
-graphs is never searched whole.
+bounds to the clique width of graphs*, 2000).  So the solver peels modules
+in one loop over vertex sets (bitmasks over the input's vertex indices):
+while the set left has a nontrivial module M, it solves G[M] on its own and
+drops M - min(M), and the set left then induces the quotient G/M.  Only the
+prime rest, or a rest of at most two vertices, reaches the subset search; a
+disjoint union or a join of smaller graphs is never searched whole.  Each
+module's witness replaces the Create(l) leaf of its least vertex, followed
+by renames of its root labels onto l.
 """
 from __future__ import annotations
 
@@ -496,9 +497,9 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
     return (full, next(iter(goals))), states, rep
 
 
-def _reconstruct(goal_key, states, rep, k: int) -> tuple[KExpression, list[int]]:
-    """The witness expression of a reached goal, and the vertex each of its
-    Create leaves stands for, in left-to-right order.
+def _reconstruct(goal_key, states, rep, k: int) -> tuple[KExpression, list[int], set[int]]:
+    """The witness expression of a reached goal, the vertex each of its
+    Create leaves stands for, in left-to-right order, and its root labels.
 
     Each class of a union operand is a set of twins towards the other
     operand, so its least vertex's neighbour mask (``rep``) decides which
@@ -557,26 +558,31 @@ def _reconstruct(goal_key, states, rep, k: int) -> tuple[KExpression, list[int]]
                     e = Join(out[xa], out[yb], e)
         return e, out
 
-    expr, _ = build(*goal_key)
+    expr, labels = build(*goal_key)
     # build refers to itself; dropping it frees the search states now rather
     # than at the next cycle collection.
     del build
-    return expr, leaves
+    return expr, leaves, set(labels.values())
 
 
-def _module(masks: list[int], n: int) -> int:
-    """A module M with 1 < |M| < n, as a bitmask, or 0 when there is none.
+def _vertices(domain: int) -> list[int]:
+    """The vertices of the bitmask ``domain``, ascending."""
+    return [v for v in range(domain.bit_length()) if domain >> v & 1]
 
-    Grows each vertex pair by its splitters (vertices outside that see some
-    but not all of it) until none is left; the first pair whose closure
-    misses a vertex gives M.
-    """
-    full = (1 << n) - 1
-    for u in range(n):
-        for v in range(u + 1, n):
+
+def _module(masks: list[int], domain: int) -> int:
+    """A module M with 1 < |M| < |domain| of the graph induced on ``domain``,
+    as a bitmask, or 0 when there is none.
+
+    Grows each pair of ``domain``, in ascending order, by its splitters (the
+    vertices of ``domain`` outside that see some but not all of it) until
+    none is left; the first pair whose closure misses a vertex gives M."""
+    verts = _vertices(domain)
+    for x, u in enumerate(verts):
+        for v in verts[x + 1 :]:
             m = 1 << u | 1 << v
             some, every = masks[u] | masks[v], masks[u] & masks[v]
-            split = some & ~every & ~m
+            split = some & ~every & domain & ~m
             while split:
                 m |= split
                 while split:
@@ -585,8 +591,8 @@ def _module(masks: list[int], n: int) -> int:
                     w = masks[low.bit_length() - 1]
                     some |= w
                     every &= w
-                split = some & ~every & ~m
-            if m != full:
+                split = some & ~every & domain & ~m
+            if m != domain:
                 return m
     return 0
 
@@ -594,64 +600,56 @@ def _module(masks: list[int], n: int) -> int:
 def _induced_masks(masks: list[int], verts: list[int]) -> list[int]:
     """Neighbour bitmasks of the subgraph induced on ``verts``, indexed by
     position in ``verts``."""
-    out = []
-    for v in verts:
-        m = 0
-        for i, w in enumerate(verts):
-            if masks[v] >> w & 1:
-                m |= 1 << i
-        out.append(m)
-    return out
+    return [sum(1 << i for i, w in enumerate(verts) if masks[v] >> w & 1) for v in verts]
 
 
-def _substitute_leaf(e: KExpression, pos: int, piece: KExpression) -> KExpression:
+def _substitute_leaf(e: KExpression, pos: int, piece: KExpression, roots: set[int]) -> KExpression:
     """Replace the pos-th Create leaf of ``e`` (left to right) by ``piece``
-    with every root label of ``piece`` renamed onto that leaf's label."""
+    with each of its root labels ``roots`` renamed onto that leaf's label."""
     leaves = [node for node, done in _walk(e) if done and isinstance(node, Create)]
     out = piece
-    for label in sorted(set(eval_expression(piece).labels.values()) - {leaves[pos].label}):
+    for label in sorted(roots - {leaves[pos].label}):
         out = Rename(label, leaves[pos].label, out)
     index = iter(range(len(leaves)))
     return _rebuild(e, {}, lambda c: out if next(index) == pos else c)
 
 
-def _solve(masks: list[int], n: int, k_max: int) -> tuple[int, KExpression, list[int]] | None:
-    """Least width k <= k_max of the graph on vertices 0..n-1, a witness of
-    width k, and the vertex of each of its Create leaves, left to right.
+def _solve(masks: list[int], domain: int, k_max: int) -> tuple[int, KExpression, list[int], set[int]] | None:
+    """Least width k <= k_max of the graph induced on ``domain``, a bitmask
+    of vertices; a witness of width k, the vertex of each of its Create
+    leaves left to right, and its root labels.
 
-    A nontrivial module M is solved apart from the quotient G/M, in which M
-    is contracted to min(M); the width is the larger of the two, and the
-    witness substitutes the module's expression for the representative's
-    leaf.  Only prime graphs and graphs on at most 2 vertices are searched.
-    """
-    module = _module(masks, n)
-    if module:
-        inside = [v for v in range(n) if module >> v & 1]
-        outside = [v for v in range(n) if v == inside[0] or not module >> v & 1]
-        sub = _solve(_induced_masks(masks, inside), len(inside), k_max)
+    While the domain has a module M, M is solved on its own, the only
+    recursion, and M - min(M) leaves the domain, which then induces G/M.
+    The prime rest, or a rest of at most 2 vertices, is re-indexed once and
+    searched; each module's witness replaces its least vertex's leaf, last
+    found first."""
+    found = []
+    while module := _module(masks, domain):
+        sub = _solve(masks, module, k_max)
         if sub is None:
             return None
-        quo = _solve(_induced_masks(masks, outside), len(outside), k_max)
-        if quo is None:
-            return None
-        k_sub, e_sub, leaves_sub = sub
-        k_quo, e_quo, leaves_quo = quo
-        pos = leaves_quo.index(outside.index(inside[0]))
-        expr = _substitute_leaf(e_quo, pos, e_sub)
-        leaves = (
-            [outside[v] for v in leaves_quo[:pos]]
-            + [inside[v] for v in leaves_sub]
-            + [outside[v] for v in leaves_quo[pos + 1 :]]
-        )
-        return max(k_sub, k_quo), expr, leaves
+        found.append(sub)
+        domain &= ~module | module & -module
+    verts = _vertices(domain)
+    n, part = len(verts), _induced_masks(masks, verts)
     # Prime on n > 2 vertices: connected and co-connected, so an induced P4
     # and width >= 3 (Corneil, Perl & Stewart 1985; Courcelle & Olariu 2000).
-    twins = _twin_counts(masks, n)
+    twins = _twin_counts(part, n)
     for k in range(3 if n > 2 else 1, k_max + 1):
-        found = _search(masks, n, k, twins)
-        if found is not None:
-            return k, *_reconstruct(*found, k)
-    return None
+        searched = _search(part, n, k, twins)
+        if searched is not None:
+            break
+    else:
+        return None
+    expr, leaves, roots = _reconstruct(*searched, k)
+    leaves = [verts[v] for v in leaves]
+    for k_sub, e_sub, leaves_sub, roots_sub in reversed(found):
+        pos = leaves.index(min(leaves_sub))
+        expr = _substitute_leaf(expr, pos, e_sub, roots_sub)
+        leaves[pos : pos + 1] = leaves_sub
+        k = max(k, k_sub)
+    return k, expr, leaves, roots
 
 
 def clique_width_exact(
@@ -669,10 +667,10 @@ def clique_width_exact(
     if g.n == 0:
         return 0, None
     verts, _, masks = bit_adjacency(g)
-    solved = _solve(masks, g.n, k_max)
+    solved = _solve(masks, (1 << g.n) - 1, k_max)
     if solved is None:
         return None
-    k, expr, leaves = solved
+    k, expr, leaves, _ = solved
     if width(expr) != k:
         raise AssertionError(f"reconstructed width {width(expr)} != solver width {k}")
     # The i-th Create leaf builds vertex i and stands for verts[leaves[i]],

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,34 @@ def test_build_graph_rejects_duplicates_and_range():
         build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         build_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (1, 0)], "duplicate edge (1,0)"),
+        ([(0, 3)], "edge (0,3) out of range for n=3"),
+        ([(-1, 2)], "edge (-1,2) out of range for n=3"),
+        # Per edge: the loop before the range, the range before a duplicate.
+        ([(5, 5)], "self-loop at vertex 5"),
+        ([(0, 1), (1, 0), (5, 5)], "duplicate edge (1,0)"),
+        ([(0, 1), (4, 1), (0, 1)], "edge (4,1) out of range for n=3"),
+    ],
+)
+def test_build_graph_reports_the_first_bad_edge(edges, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build_graph(3, edges)
+
+
+def test_build_graph_matches_the_validating_constructor():
+    rng = random.Random(168)
+    for n in range(12):
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(range(n), 2)]
+        edges = [e for e in edges if rng.random() < 0.4]
+        rng.shuffle(edges)
+        g = build_graph(n, edges)
+        assert g == Graph(range(n), edges) and g.m == len(edges)
+        assert g.vertices == tuple(range(n))
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ from cliquewidth import (
 from cliquewidth.cli import main
 from cliquewidth.graphs import bit_adjacency
 from cliquewidth.kexpr import expr_labels
+from conftest import atlas_catalog
 from brute import brute_has_module, brute_twin_classes, brute_twin_partition, random_graph
 import oracles
 from oracles import naive_clique_width
@@ -198,9 +199,9 @@ def test_clique_width_checks_the_witness_through_its_leaf_map(monkeypatch):
     # isomorphism check passes it; no single swap is an automorphism of P4.
     solve = kexpr_module._solve
 
-    def swapped(masks, n, k_max):
-        k, expr, leaves = solve(masks, n, k_max)
-        return k, expr, [leaves[1], leaves[0], *leaves[2:]]
+    def swapped(masks, domain, k_max):
+        k, expr, leaves, roots = solve(masks, domain, k_max)
+        return k, expr, [leaves[1], leaves[0], *leaves[2:]], roots
 
     monkeypatch.setattr(kexpr_module, "_solve", swapped)
     with pytest.raises(AssertionError, match="does not build the graph"):
@@ -551,8 +552,9 @@ def test_search_builds_subsets_on_demand():
                     assert p1 in states[s1] and p2 in states[s2]
                 elif record[0] == "merge":
                     assert record[1] in states[s]
-        expr, leaves = kexpr_module._reconstruct(goal, states, rep, k)
+        expr, leaves, roots = kexpr_module._reconstruct(goal, states, rep, k)
         assert sorted(leaves) == list(range(g.n))
+        assert roots == set(eval_expression(expr).labels.values())
         assert width(expr) == k and verify_expression(expr, g)
 
 
@@ -658,6 +660,92 @@ def test_large_prime_witnesses_match_golden_digest():
     assert {line.split(": ")[1].split()[0] for line in lines} == {"None", "3", "4", "5"}
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == LARGE_PRIME_GOLDEN_DIGEST
+
+
+def threshold_graph(rng: random.Random, n: int) -> Graph:
+    """Vertex v joined to all of 0..v-1 with probability 1/2, else to none."""
+    return build_graph(n, [(u, v) for v in range(1, n) if rng.random() < 0.5 for u in range(v)])
+
+
+def shuffled(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def nested_atlas(rng: random.Random, atlas: list[Graph], n: int) -> Graph:
+    """Atlas graphs substituted into one another until at least n vertices:
+    the graph so far replaces one vertex of a fresh atlas quotient, and
+    further atlas graphs replace the others."""
+    g = rng.choice(atlas)
+    while g.n < n:
+        quotient = rng.choice(atlas)
+        parts = [rng.choice(atlas) for _ in range(quotient.n)]
+        parts[rng.randrange(quotient.n)] = g
+        g = substitute(quotient, parts)
+    return g
+
+
+def decomposable_scale_corpus() -> list[Graph]:
+    """Decomposable graphs on 20..300 vertices: nP1, K_n, K1,n, seeded
+    random cographs, threshold graphs in id order and shuffled, and atlas
+    graphs substituted into one another, in id order and shuffled."""
+    rng = random.Random(1100)
+    graphs = [realize_text(f"{n}P1") for n in (20, 100)]
+    graphs += [realize_text(f"K{n}") for n in (20, 100)]
+    graphs += [realize_text(f"K1,{n}") for n in (20, 100)]
+    graphs += [random_cograph(rng, n) for n in (40, 120, 200)]
+    graphs += [threshold_graph(rng, n) for n in (60, 300)]
+    graphs += [shuffled(rng, threshold_graph(rng, n)) for n in (60, 200)]
+    atlas = atlas_catalog(1, 7)
+    graphs += [nested_atlas(rng, atlas, n) for n in (20, 60, 150)]
+    graphs += [shuffled(rng, nested_atlas(rng, atlas, n)) for n in (40, 100)]
+    return graphs
+
+
+# SHA-256 of every result and printed witness over decomposable_scale_corpus()
+# with the size limit raised to each graph's order, recorded before the
+# solver peeled modules in one loop over vertex sets.
+SCALE_GOLDEN_DIGEST = "960b05ab81fd1435e0f40a37bca562bf45a1dcf462f11f68170d03c14fe17d4c"
+
+
+def test_decomposable_witnesses_at_scale_match_golden_digest():
+    corpus = decomposable_scale_corpus()
+    assert min(g.n for g in corpus) >= 20
+    lines = []
+    for g in corpus:
+        found = clique_width_exact(g, size_limit=g.n)
+        shown = "None" if found is None else f"{found[0]} {print_expression(found[1])}"
+        lines.append(f"{g.n} {sorted(g.edges())}: {shown}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SCALE_GOLDEN_DIGEST
+
+
+def test_solver_recursion_follows_module_nesting(monkeypatch):
+    # The solver peels modules in a loop and recurses only into a module, so
+    # its depth is the nesting depth of the modules it finds, not their
+    # number.  In nP1, K_n and a threshold graph in id order, every later
+    # vertex sees both or neither of 0 and v, so each module found is a pair
+    # {0, v} with no module inside: depth 2, where recursing on each
+    # quotient would go one level per module, 299 deep here.
+    solve = kexpr_module._solve
+    depth = deepest = 0
+
+    def counted(masks, domain, k_max):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return solve(masks, domain, k_max)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(kexpr_module, "_solve", counted)
+    for g in (realize_text("300P1"), realize_text("K300"), threshold_graph(random.Random(300), 300)):
+        deepest = 0
+        k, expr = clique_width_exact(g, size_limit=g.n)
+        assert deepest == 2
+        assert width(expr) == k and verify_expression(expr, g)
 
 
 def random_expression(rng: random.Random) -> KExpression:
