@@ -38,6 +38,19 @@ splits stops at the first state.  For the same reason each class of one union
 operand is complete or anticomplete to each class of the other, so only a
 fused class can make a forced join fail.
 
+Fusion pairs.  A union on S = S1 | S2 fuses a class of S1 with a class of S2
+only when they share a signature outside S, no edge joins them and the
+fused class can take every cross join of either, so every fused pair holds
+a non-adjacent vertex pair (u in S1, v in S2) with N(u) - S = N(v) - S,
+where no vertex of S2 sees u but not v and no vertex of S1 sees v but not
+u.  Distinct fused pairs use distinct u and distinct v, so a union fuses
+at most fmax = min(|U|, |V|) pairs, U and V the S1-ends and S2-ends of
+such vertex pairs, and its products have at least t(S1) + t(S2) - fmax
+classes.  The search skips every split where that exceeds k before it
+builds either side, and every state pair whose class counts leave more
+than k after fmax fusions; both are unions with no product, so no state,
+record or witness changes.
+
 Decomposition.  Clique-width survives substitution: the width of Q[M1..Mk]
 is the maximum of the widths of Q and of the Mi (Courcelle & Olariu, *Upper
 bounds to the clique width of graphs*, 2000).  So the solver peels modules
@@ -344,7 +357,10 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
     Every class of a state on S is a set of twins towards V - S, so subsets
     with t(S) > k get no states (see the module docstring).  ``twins`` is
     ``_twin_counts(masks, n)``, which one prime part shares across its k
-    levels.
+    levels.  The non-adjacent vertex pairs are listed once; each subset
+    keeps those that lie inside it with equal neighbourhoods outside it,
+    and a split or state pair that needs more fusions than the pairs the
+    split can fuse allow is skipped, before ``union_products``.
     """
     full = (1 << n) - 1
     common_cache: dict[int, int] = {}
@@ -427,11 +443,12 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
 
     states: dict[int, dict[tuple, tuple]] = {}
 
-    def reach(s: int) -> dict[tuple, tuple]:
+    def reach(s: int, pairs: list[tuple[int, int, int, int]]) -> dict[tuple, tuple]:
         """Build and memoise the states of s from those of its splits; {}
         when t(s) > k or nothing reaches s.  On the full set, stops at the
         first product; so does a subset with t(s) = k, whose twin partition
-        is the only state it can have.  Callers look in ``states`` first."""
+        is the only state it can have.  ``pairs`` holds at least the fusion
+        pairs of s.  Callers look in ``states`` first."""
         cur = states[s] = {}
         if twins[s] > k:
             return cur
@@ -440,24 +457,49 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
             return cur
         stop = s == full or twins[s] == k
         outside = ~s
+        pairs = [pair for pair in pairs if not pair[1] & outside]
+        paired = 0
+        for pair in pairs:
+            paired |= pair[0]
         # Splits s = s1 | s2 with the least vertex in s1, s1 descending.
         low = s & -s
         rest = x = s ^ low
         while x:
             x = (x - 1) & rest
             s1, s2 = low | x, rest ^ x
+            # Every product needs ``need`` fusions and makes at most fmax:
+            # the fewer of the s1-ends and the s2-ends of the fusion pairs
+            # whose two sides the split keeps apart.  ``paired`` bounds both
+            # counts cheaply.
+            need = twins[s1] + twins[s2] - k
+            end1 = paired & s1
+            if need > end1.bit_count() or need > (paired ^ end1).bit_count():
+                continue
+            us = vs = 0
+            for ends, span, a, b in pairs:
+                apart = a & s1 | b & s2
+                if apart == span or not apart:
+                    end1 = ends & s1
+                    us |= end1
+                    vs |= ends ^ end1
+            fmax = min(us.bit_count(), vs.bit_count())
+            if need > fmax:
+                continue
             d1 = states.get(s1)
             if d1 is None:
-                d1 = reach(s1)
+                d1 = reach(s1, pairs)
             d2 = d1 and states.get(s2)
             if d2 is None:
-                d2 = reach(s2)
+                d2 = reach(s2, pairs)
             if not d2:
                 continue
             side2 = [(p2, [rep[c] & outside for c in p2]) for p2 in d2]
             for p1 in d1:
                 sig1 = [rep[c] & outside for c in p1]
+                room = k + fmax - len(p1)
                 for p2, sig2 in side2:
+                    if len(p2) > room:
+                        continue
                     for prod in union_products(p1, sig1, p2, sig2, s1, s2):
                         if prod not in cur:
                             cur[prod] = ("union", s1, p1, s2, p2)
@@ -488,7 +530,19 @@ def _search(masks: list[int], n: int, k: int, twins: bytes):
                             queue.append(merged)
         return cur
 
-    goals = reach(full)
+    # Fusion pairs: each non-adjacent vertex pair {u, v} as (the bits of u
+    # and v, a | b, a, b), where a is u with the vertices that see u but not
+    # v, and b is v with those that see v but not u.  Classes holding u and
+    # v fuse on s only if a | b lies inside s (equal neighbours outside s),
+    # and on the split s1 | s2 only if a and b lie on opposite sides.
+    fusion_pairs = [
+        (1 << u | 1 << v, 1 << u | 1 << v | masks[u] ^ masks[v],
+         1 << u | masks[u] & ~masks[v], 1 << v | masks[v] & ~masks[u])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not masks[u] >> v & 1
+    ]
+    goals = reach(full, fusion_pairs)
     # reach refers to itself; dropping it frees the search states with the
     # caller's reference rather than at the next cycle collection.
     del reach
@@ -570,14 +624,16 @@ def _vertices(domain: int) -> list[int]:
     return [v for v in range(domain.bit_length()) if domain >> v & 1]
 
 
-def _module(masks: list[int], domain: int) -> int:
+def _module(masks: list[int], domain: int, least: int) -> int:
     """A module M with 1 < |M| < |domain| of the graph induced on ``domain``,
     as a bitmask, or 0 when there is none.
 
     Grows each pair of ``domain``, in ascending order, by its splitters (the
     vertices of ``domain`` outside that see some but not all of it) until
-    none is left; the first pair whose closure misses a vertex gives M."""
-    verts = _vertices(domain)
+    none is left; the first pair whose closure misses a vertex gives M, and
+    its lesser vertex is min(M).  Pairs whose lesser vertex is below the bit
+    ``least`` are taken to have the whole domain as closure and are skipped."""
+    verts = _vertices(domain & -least)
     for x, u in enumerate(verts):
         for v in verts[x + 1 :]:
             m = 1 << u | 1 << v
@@ -621,16 +677,20 @@ def _solve(masks: list[int], domain: int, k_max: int) -> tuple[int, KExpression,
 
     While the domain has a module M, M is solved on its own, the only
     recursion, and M - min(M) leaves the domain, which then induces G/M.
-    The prime rest, or a rest of at most 2 vertices, is re-indexed once and
-    searched; each module's witness replaces its least vertex's leaf, last
-    found first."""
+    Every pair that ``_module`` passed over before min(M) had the whole
+    domain as closure, and keeps it in G/M, since a proper module of G/M
+    lifts to one of G; so the next scan starts at min(M).  The prime rest,
+    or a rest of at most 2 vertices, is re-indexed once and searched; each
+    module's witness replaces its least vertex's leaf, last found first."""
     found = []
-    while module := _module(masks, domain):
+    least = 1
+    while module := _module(masks, domain, least):
         sub = _solve(masks, module, k_max)
         if sub is None:
             return None
         found.append(sub)
-        domain &= ~module | module & -module
+        least = module & -module
+        domain &= ~module | least
     verts = _vertices(domain)
     n, part = len(verts), _induced_masks(masks, verts)
     # Prime on n > 2 vertices: connected and co-connected, so an induced P4

@@ -520,13 +520,60 @@ def test_search_states_are_twin_classes():
     assert skipped > 0 and tight > 0
 
 
+def test_union_fusions_stay_within_the_pair_bound():
+    # A union on S = S1 | S2 fuses a class of S1 with one of S2 only when they
+    # hold a non-adjacent pair (u in S1, v in S2) with equal neighbourhoods
+    # outside S, where no vertex of S2 sees u but not v and no vertex of S1
+    # sees v but not u (the fused class takes every cross join of either),
+    # and distinct fusions use distinct u and distinct v.  So a product
+    # fuses at most min(|U|, |V|) class pairs, U and V the S1-ends and
+    # S2-ends of such pairs.  The search skips splits and state pairs by
+    # this bound; here it is recomputed from the neighbour sets alone.
+    rng = random.Random(33)
+    unions = tight = 0
+    for _ in range(24):
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        _, _, masks = bit_adjacency(g)
+        twins = kexpr_module._twin_counts(masks, n)
+        for k in range(1, kexpr_module.KMAX_LIMIT + 1):
+            found = kexpr_module._search(masks, n, k, twins)
+            if found is None:
+                continue
+            for parts in found[1].values():
+                for part, record in parts.items():
+                    if record[0] != "union":
+                        continue
+                    _, s1, p1, s2, p2 = record
+                    side1 = {v for v in range(n) if s1 >> v & 1}
+                    side2 = {v for v in range(n) if s2 >> v & 1}
+                    subset = side1 | side2
+                    cross = [
+                        (u, v)
+                        for u in side1
+                        for v in side2
+                        if v not in g.neighbors(u)
+                        and g.neighbors(u) - subset == g.neighbors(v) - subset
+                        and not (g.neighbors(u) - g.neighbors(v)) & side2
+                        and not (g.neighbors(v) - g.neighbors(u)) & side1
+                    ]
+                    bound = min(len({u for u, _ in cross}), len({v for _, v in cross}))
+                    fused = len(p1) + len(p2) - len(part)
+                    assert fused <= bound
+                    unions += 1
+                    tight += fused == bound > 0 and len(part) == k
+    # Products with k classes that fuse exactly min(|U|, |V|) pairs: a
+    # bound one lower would have skipped them.
+    assert unions > 0 and tight > 0
+
+
 # (graph, width, subsets with states built at that width).  The counts are
 # ceilings: the search builds a subset only when a split of a larger one asks
 # for it before the goal is found, and building fewer is never wrong.
 ON_DEMAND_CASES = [
-    ("C7", 4, 65),
-    ("rook-3x3", 5, 233),
-    ("P10", 3, 200),
+    ("C7", 4, 50),
+    ("rook-3x3", 5, 59),
+    ("P10", 3, 64),
 ]
 
 
@@ -660,6 +707,30 @@ def test_large_prime_witnesses_match_golden_digest():
     assert {line.split(": ")[1].split()[0] for line in lines} == {"None", "3", "4", "5"}
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == LARGE_PRIME_GOLDEN_DIGEST
+
+
+def above_limit_corpus() -> list[Graph]:
+    """G(n, 0.5) for n = 11 and 12, seeds 1-3, then C11 and its complement:
+    graphs above SOLVER_LIMIT, where the subset search does the most work."""
+    graphs = [random_graph(random.Random(seed), n, 0.5) for n in (11, 12) for seed in (1, 2, 3)]
+    return graphs + [realize_text("C11"), realize_text("co(C11)")]
+
+
+# SHA-256 of every result and printed witness over above_limit_corpus() with
+# the size limit raised to each graph's order, recorded on the parent commit
+# before the search skipped splits by the number of pairs that may fuse.
+ABOVE_LIMIT_GOLDEN_DIGEST = "95fd8e1c75d66fd6dc1963c0aa5b4f059ad0656f492b509f1b947a533763c6b7"
+
+
+def test_witnesses_above_solver_limit_match_golden_digest():
+    lines = []
+    for g in above_limit_corpus():
+        assert g.n > kexpr_module.SOLVER_LIMIT
+        found = clique_width_exact(g, size_limit=g.n)
+        shown = "None" if found is None else f"{found[0]} {print_expression(found[1])}"
+        lines.append(f"{g.n} {sorted(g.edges())}: {shown}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ABOVE_LIMIT_GOLDEN_DIGEST
 
 
 def threshold_graph(rng: random.Random, n: int) -> Graph:
